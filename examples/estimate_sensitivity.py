@@ -37,9 +37,8 @@ def main() -> None:
     gen = YcsbGenerator(YcsbConfig(num_records=2_000_000, theta=0.8), seed=4)
     workload = gen.make_workload(1_500)
     apply_runtime_skew(workload, RuntimeSkewConfig(), exp.sim)
-    graph = workload.conflict_graph()
 
-    baseline = run_system(workload, StrifePartitioner(), exp, graph=graph)
+    baseline = run_system(workload, StrifePartitioner(), exp)
     print(f"Strife baseline: {baseline.throughput:,.0f} txn/s, "
           f"{baseline.retries_per_100k:,.0f} retries/100k\n")
 
@@ -55,8 +54,7 @@ def main() -> None:
     print(f"{'estimator':28s} {'tput':>11s} {'retries/100k':>13s} "
           f"{'queue retr':>11s} {'s%':>5s}")
     for label, cost in estimators:
-        result = run_system(workload, TSKD.instance("S"), exp, cost=cost,
-                            graph=graph)
+        result = run_system(workload, TSKD.instance("S"), exp, cost=cost)
         print(f"{label:28s} {result.throughput:>11,.0f} "
               f"{result.retries_per_100k:>13,.0f} "
               f"{result.queue_retries:>11,} "

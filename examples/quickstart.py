@@ -32,8 +32,6 @@ def main() -> None:
     workload = generator.make_workload(2_000)
     apply_runtime_skew(workload, RuntimeSkewConfig(), exp.sim)
 
-    graph = workload.conflict_graph()  # shared by every system below
-
     systems = [
         ("DBCC (round-robin + OCC)", "dbcc"),
         ("Strife partitioner", StrifePartitioner()),
@@ -43,7 +41,7 @@ def main() -> None:
 
     results = []
     for label, system in systems:
-        result = run_system(workload, system, exp, graph=graph, name=label)
+        result = run_system(workload, system, exp, name=label)
         results.append(result)
         extra = ""
         if result.scheduled_pct is not None:

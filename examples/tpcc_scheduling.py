@@ -38,7 +38,6 @@ def main() -> None:
     workload = generator.make_workload(2_000)
     apply_runtime_skew(workload, RuntimeSkewConfig(), exp.sim)
     print(f"  mix: {workload.templates()}")
-    graph = workload.conflict_graph()
 
     pairs = [
         ("Strife", StrifePartitioner(), TSKD.instance("S")),
@@ -48,15 +47,15 @@ def main() -> None:
     print(f"\n{'partitioner':14s} {'baseline tput':>14s} {'TSKD tput':>12s} "
           f"{'gain':>7s} {'retry cut':>10s} {'s%':>5s}")
     for name, baseline, tskd in pairs:
-        base = run_system(workload, baseline, exp, graph=graph)
-        ours = run_system(workload, tskd, exp, graph=graph)
+        base = run_system(workload, baseline, exp)
+        ours = run_system(workload, tskd, exp)
         print(f"{name:14s} {base.throughput:>14,.0f} {ours.throughput:>12,.0f} "
               f"{improvement_pct(ours.throughput, base.throughput):>+6.0f}% "
               f"{reduction_pct(ours.retries_per_100k, base.retries_per_100k):>9.0f}% "
               f"{ours.scheduled_pct * 100:>5.0f}")
 
     print("\nTSKD[0] (no input partitioning) for comparison:")
-    zero = run_system(workload, TSKD.instance("0"), exp, graph=graph)
+    zero = run_system(workload, TSKD.instance("0"), exp)
     print(f"  {zero.throughput:,.0f} txn/s, "
           f"{zero.retries_per_100k:,.0f} retries/100k, "
           f"s%={zero.scheduled_pct * 100:.0f}")

@@ -38,9 +38,8 @@ def main() -> None:
           f"{'retry cut':>10} {'deferrals':>10}")
     for theta in (0.7, 0.8, 0.9):
         w = make_workload(theta, exp)
-        graph = w.conflict_graph()
-        base = run_system(w, "dbcc", exp, graph=graph)
-        ours = run_system(w, TSKD.instance("CC"), exp, graph=graph)
+        base = run_system(w, "dbcc", exp)
+        ours = run_system(w, TSKD.instance("CC"), exp)
         print(f"{theta:>6} {base.throughput:>12,.0f} {ours.throughput:>12,.0f} "
               f"{improvement_pct(ours.throughput, base.throughput):>+6.0f}% "
               f"{reduction_pct(ours.retries_per_100k, base.retries_per_100k):>9.0f}% "
@@ -50,14 +49,13 @@ def main() -> None:
           "(0 disables TsDEFER; more probes catch more conflicts but cost "
           "more per dispatch)")
     w = make_workload(0.8, exp)
-    graph = w.conflict_graph()
-    base = run_system(w, "dbcc", exp, graph=graph)
+    base = run_system(w, "dbcc", exp)
     print(f"  DBCC baseline: {base.throughput:,.0f} txn/s, "
           f"{base.retries_per_100k:,.0f} retries/100k")
     for lookups in (0, 1, 2, 5):
         cfg = (TsDeferConfig(num_lookups=lookups) if lookups
                else TsDeferConfig(num_lookups=0))
-        r = run_system(w, TSKD.instance("CC", tsdefer=cfg), exp, graph=graph)
+        r = run_system(w, TSKD.instance("CC", tsdefer=cfg), exp)
         print(f"  #lookups={lookups}: {r.throughput:>10,.0f} txn/s, "
               f"{r.retries_per_100k:>8,.0f} retries/100k, "
               f"{r.deferrals:>5,} deferrals")

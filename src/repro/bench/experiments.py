@@ -267,10 +267,8 @@ def measure_point(
     sums: dict[str, list[float]] = {}
     for seed in seeds:
         workload = workload_factory(seed)
-        graph = workload.conflict_graph()
         for name, factory in systems:
-            r = run_system(workload, factory(), exp.with_(seed=seed),
-                           graph=graph, name=name)
+            r = run_system(workload, factory(), exp.with_(seed=seed), name=name)
             accumulate(sums.setdefault(name, new_accumulator()),
                        cell_vector(r))
     for name, acc in sums.items():

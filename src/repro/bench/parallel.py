@@ -251,15 +251,8 @@ class _CellContext:
         if factory is None:
             return True
         workload = workload_factory(self.target.seed)
-        # The sequential path shares one conflict graph per (x, seed);
-        # memoise it on the (cached, shared) workload object so cells in
-        # the same worker share it too.  Rebuilding is bit-identical.
-        graph = getattr(workload, "_parallel_graph_cache", None)
-        if graph is None:
-            graph = workload.conflict_graph()
-            workload._parallel_graph_cache = graph
         run_exp = exp.with_(seed=self.target.seed)
-        result = run_system(workload, factory(), run_exp, graph=graph,
+        result = run_system(workload, factory(), run_exp,
                             name=self.target.system)
         self.outcome = (cell_vector(result), result, run_exp)
         raise _CellDone

@@ -11,7 +11,8 @@ A *system* is any of:
 
 Every run builds a fresh engine so protocol state never leaks between
 systems, and all systems of one experiment share the same workload
-objects (same skew bounds, same I/O stalls) and the same conflict graph.
+objects (same skew bounds, same I/O stalls) and so the same conflict
+graph, which :meth:`Workload.conflict_graph` memoises per isolation level.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from ..partition.base import Partitioner
 from ..sim.engine import MulticoreEngine
 from ..sim.fastengine import make_engine
 from ..sim.warmup import warm_up_history
-from ..txn.conflict_graph import ConflictGraph
 from ..txn.cost import CostModel
 from ..txn.workload import Workload, split_round_robin
 
@@ -80,7 +80,6 @@ def run_system(
     system: System,
     exp: ExperimentConfig,
     cost: Optional[CostModel] = None,
-    graph: Optional[ConflictGraph] = None,
     name: Optional[str] = None,
     record_history: bool = False,
     db=None,
@@ -133,7 +132,7 @@ def run_system(
         # enforced CC-free gate assumes one precomputed whole-run
         # schedule, so it keeps the static path.
         return _run_adaptive(
-            workload, system, exp, cost, graph, name, record_history,
+            workload, system, exp, cost, name, record_history,
             db, tracer, metrics, injector, prof, rng,
         )
 
@@ -147,9 +146,8 @@ def run_system(
             raise ValueError(f"unknown system string {system!r}")
         phases = [split_round_robin(list(workload), k)]
     elif isinstance(system, TSKD):
-        if graph is not None and graph.isolation is not system.isolation:
-            graph = None  # caller's graph is for a different isolation level
-        if graph is None and system.use_tspar:
+        graph = None
+        if system.use_tspar:
             if prof is not None:
                 prof.push("bench.graph")
             graph = workload.conflict_graph(system.isolation)
@@ -167,13 +165,11 @@ def run_system(
             dispatch_filter = tsdefer
             progress_hooks = tsdefer
     else:  # baseline partitioner: sees access sets only, not cost estimates
-        if graph is None:
-            if prof is not None:
-                prof.push("bench.graph")
-            graph = workload.conflict_graph()
-            if prof is not None:
-                prof.pop()
         if prof is not None:
+            prof.push("bench.graph")
+        graph = workload.conflict_graph()
+        if prof is not None:
+            prof.pop()
             prof.push("bench.schedule")
         plan = system.partition(workload, k, graph=graph, cost=None,
                                 rng=rng.fork(2))
@@ -300,7 +296,6 @@ def _run_adaptive(
     system: TSKD,
     exp: ExperimentConfig,
     cost: CostModel,
-    graph: Optional[ConflictGraph],
     name: Optional[str],
     record_history: bool,
     db,
@@ -318,9 +313,11 @@ def _run_adaptive(
     from the batch runner.  Between epochs the
     :class:`~repro.predict.policy.OnlinePolicy` decays its sketch,
     refreshes the hot snapshot that steers the next epoch's TSgen pass,
-    and retunes TsDEFER from witnessed-conflict deltas.  The whole-
-    workload conflict graph is computed once and shared: tsgen ignores
-    neighbours outside the current epoch's transactions.
+    and retunes TsDEFER from witnessed-conflict deltas.  Each epoch is
+    planned on its own conflict graph, exactly as
+    :meth:`~repro.serve.pipeline.EpochExecutor.schedule` plans a served
+    epoch, so planning costs O(epoch conflict degree) per transaction,
+    not O(bundle conflict degree).
 
     The RNG forks mirror the static path (fork(2) for planning, fork(3)
     for the filter) with a per-epoch sub-fork, so two identical seeded
@@ -332,15 +329,6 @@ def _run_adaptive(
     k = sim.num_threads
     predict = exp.predict
     policy = OnlinePolicy(predict, exp.seed)
-
-    if graph is not None and graph.isolation is not system.isolation:
-        graph = None
-    if graph is None and system.use_tspar:
-        if prof is not None:
-            prof.push("bench.graph")
-        graph = workload.conflict_graph(system.isolation)
-        if prof is not None:
-            prof.pop()
 
     tsdefer = system.make_filter(k, rng=rng.fork(3))
     hooks = HookFanout([tsdefer, policy])
@@ -387,8 +375,7 @@ def _run_adaptive(
                            name=f"{workload.name}-e{epochs}")
             if prof is not None:
                 prof.push("bench.schedule")
-            plan = system.prepare(sub, k, cost, rng=prep_rng.fork(epochs),
-                                  graph=graph)
+            plan = system.prepare(sub, k, cost, rng=prep_rng.fork(epochs))
             if prof is not None:
                 prof.pop()
             schedule = plan.schedule

@@ -467,10 +467,8 @@ def cmd_report(args) -> int:
 
 def cmd_compare(args) -> int:
     workload, exp = _build(args)
-    graph = workload.conflict_graph()
     for name in args.systems or ["dbcc", "strife", "tskd-s", "tskd-cc"]:
-        result = run_system(workload, _make_system(name), exp, graph=graph,
-                            name=name)
+        result = run_system(workload, _make_system(name), exp, name=name)
         _print_result(result)
     return 0
 

@@ -101,12 +101,10 @@ def tune_tsdefer(
     txns = list(workload)
     while True:
         sample = Workload(txns[:sample_size], name=f"{workload.name}-pilot")
-        graph = sample.conflict_graph()
         scored: list[tuple[float, int, TsDeferConfig]] = []
         for idx, cfg in enumerate(candidates):
             system = TSKD.instance(instance, tsdefer=cfg)
-            result = run_system(sample, system, exp, graph=graph,
-                                name=f"pilot-{idx}")
+            result = run_system(sample, system, exp, name=f"pilot-{idx}")
             report.trials.append(TuningTrial(
                 config=cfg, sample_size=sample_size,
                 throughput=result.throughput,

@@ -21,13 +21,17 @@ If an intentional behaviour change moves these numbers, regenerate with:
 and say why in the commit message.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.bench.experiments import Scale, run_experiment
-from repro.bench.runner import run_system
-from repro.bench.workloads import YcsbGenerator
+from repro.bench.runner import policy_of, run_system
+from repro.bench.workloads import YcsbGenerator, drifting_ycsb_workload
 from repro.common import ExperimentConfig, Rng, SimConfig, YcsbConfig
+from repro.common.config import PredictConfig
 from repro.common.hashing import config_hash
+from repro.core.tskd import TSKD
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs.artifact import build_artifact
 from repro.sim import make_engine, run_open_system
@@ -107,4 +111,49 @@ def test_chaos_scenario_golden_both_engines(engine_name):
                                           restart_policy="backoff"))
     assert config_hash(build_artifact(result, config=norm)) == GOLDEN_CHAOS, (
         f"chaos scenario drifted under the {engine_name} engine"
+    )
+
+
+# -- adaptive (epoched) path goldens -------------------------------------
+#
+# ``run_system`` with an enabled predictor takes the epoched adaptive
+# path: one TSgen plan per ``epoch_txns`` slice on one persistent engine.
+# These digests pin that path end to end — every RunResult field, the
+# full metrics registry and the final policy snapshot — for the
+# from-scratch scheduler (TSKD[0], steering on) and the scheduler-free
+# baseline (TSKD[CC]).  Regenerate with the helper below and say why.
+
+#: The ``abl_adaptive`` ablation's adaptive arm.
+ADAPTIVE_ARM = PredictConfig(admission=False, epoch_txns=50,
+                             hot_threshold=2.0, hot_defer_prob=0.9)
+
+#: Recorded on the commit before epochs were planned on their own
+#: conflict graphs (the change must be bit-invisible for both).
+GOLDEN_ADAPTIVE = {
+    "0": "6281c2a4e3259de64e7b67c900674796ece380023045654c70c44214ef84aaad",
+    "CC": "c15fc22f9c6b5a4f041b08bcf266a9909759482cd01ee0e56bd27374756d60ca",
+}
+
+
+def _adaptive_digest(which: str, seed: int) -> str:
+    workload = drifting_ycsb_workload(
+        YcsbConfig(num_records=12_000, theta=0.9), 240, seed=seed,
+        drift_every=60)
+    exp = ExperimentConfig(sim=SimConfig(num_threads=4), seed=seed,
+                           predict=ADAPTIVE_ARM)
+    result = run_system(workload, TSKD.instance(which), exp)
+    fields = {f.name: getattr(result, f.name)
+              for f in dataclasses.fields(result) if f.name != "metrics"}
+    return config_hash({
+        "result": fields,
+        "metrics": result.metrics.to_dict(),
+        "policy": policy_of(result).snapshot(),
+    })
+
+
+@pytest.mark.parametrize("which", sorted(GOLDEN_ADAPTIVE))
+def test_adaptive_path_golden(which):
+    digest = config_hash([_adaptive_digest(which, seed) for seed in (0, 1)])
+    assert digest == GOLDEN_ADAPTIVE[which], (
+        f"TSKD[{which}] adaptive run drifted from its golden digest"
     )

@@ -97,3 +97,31 @@ class TestAdaptiveReproducibility:
         assert policy.epoch == 4
         assert policy.steer_reorders == 0
         assert policy.defer_boosts == 0
+
+
+class TestPartitionedEpochs:
+    """Partitioned TSKD plans each epoch on the epoch's own conflict graph,
+    as the serve path does, and every epoch's schedule stays RC-free."""
+
+    @pytest.mark.parametrize("partitioner", ["strife", "schism"])
+    def test_every_epoch_schedule_rc_free(self, contended_ycsb, monkeypatch,
+                                          partitioner):
+        planned = []
+        prepare = TSKD.prepare
+
+        def recording_prepare(self, workload, *args, **kwargs):
+            assert kwargs.get("graph") is None
+            plan = prepare(self, workload, *args, **kwargs)
+            planned.append((workload, plan.schedule))
+            return plan
+
+        monkeypatch.setattr(TSKD, "prepare", recording_prepare)
+        system = TSKD(partitioner=partitioner, check=True)
+        r = run_system(contended_ycsb, system, _exp(ADAPTIVE))
+        assert r.committed == len(contended_ycsb)
+        assert len(planned) == 4          # 200 txns / 50-txn epochs
+        for epoch, schedule in planned:
+            assert len(epoch) == 50
+            schedule.validate_total_order()
+            schedule.assert_rc_free(epoch.conflict_graph(system.isolation))
+            assert any(schedule.queues)
