@@ -41,8 +41,9 @@ from ..txn.workload import Workload
 MEMO_SLOTS = 8
 
 #: Bump to invalidate on-disk workload pickles when generation changes
-#: in a way the config hash cannot see (e.g. generator algorithm edits).
-DISK_FORMAT = "repro.workload/1"
+#: in a way the config hash cannot see (e.g. generator algorithm edits,
+#: or /2's operations pickled as tuples instead of dataclasses).
+DISK_FORMAT = "repro.workload/2"
 
 
 def workload_key(kind: str, gen_config, bundle: int, exp, seed: int) -> str:

@@ -4,7 +4,7 @@ The tier-1 suite answers "is it still correct?"; this module answers
 "is it still fast?".  ``run_perf`` times a pinned set of representative
 cases — two fig5 YCSB cells (DBCC and TSKD[CC] at theta 0.8), two fig4
 TPC-C cells (Strife and TSKD[S] under an I/O tail), and one end-to-end
-serve session driven by the closed-loop load generator — and writes one
+serve session saturated by the closed-loop load generator — and writes one
 schema-validated ``repro.bench/1`` document per revision into
 ``benchmarks/results/``.  Committing a BENCH file per meaningful change
 grows a wall-clock trajectory of the repo (the ROADMAP's speed-roadmap
@@ -31,6 +31,7 @@ import platform
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from typing import Optional
 
 from ..common.config import ExperimentConfig, IoLatencyConfig, ServeConfig
@@ -49,8 +50,13 @@ from .runner import make_system, run_system
 #: How many profiler sections each case keeps (sorted by wall self-time).
 PROFILE_TOP_K = 8
 
-#: Serve-case sizing: (transactions, clients) per scale name.
-_SERVE_SIZE = {"quick": (200, 4), "bench": (800, 8)}
+#: Serve-case sizing: (transactions, clients) per scale name.  Twice as
+#: many closed-loop clients as an epoch holds keep epochs closing full
+#: while the previous one executes, so the case times the service rate,
+#: not the batcher's deadline timer.
+_SERVE_EPOCH_TXNS = 64
+_SERVE_SIZE = {"quick": (1_000, 2 * _SERVE_EPOCH_TXNS),
+               "bench": (4_000, 2 * _SERVE_EPOCH_TXNS)}
 
 
 def machine_info() -> dict:
@@ -129,10 +135,9 @@ async def _serve_case_async(name: str, scale: Scale,
     from ..serve.server import ServeServer
 
     n_txns, clients = _SERVE_SIZE.get(scale.name, _SERVE_SIZE["bench"])
-    workload = ycsb_workload(scale, exp, 0.8, seed=0)
-    txns = list(workload)[:n_txns]
+    txns = list(ycsb_workload(replace(scale, bundle=n_txns), exp, 0.8, seed=0))
     serve = ServeConfig(system="tskd-cc", host="127.0.0.1", port=0,
-                        epoch_max_txns=64, epoch_max_ms=20.0)
+                        epoch_max_txns=_SERVE_EPOCH_TXNS, epoch_max_ms=20.0)
     server = ServeServer(serve, exp)
     await server.start()
     try:

@@ -105,13 +105,25 @@ class ProgressTable:
     # -- maintenance (single writer per slot in the real structure) -----
     def on_dispatch(self, thread_id: int, txn: Transaction, now: int = 0) -> None:
         """headp advanced to ``txn``: it is now active at ``thread_id``."""
+        leaving = self._previous[thread_id]
         self._previous[thread_id] = self._current[thread_id]
         self._current[thread_id] = txn
+        self._forget(thread_id, leaving)
 
     def on_commit(self, thread_id: int, txn: Transaction, now: int = 0) -> None:
         """regPos: the active transaction committed."""
+        leaving = self._previous[thread_id]
         self._previous[thread_id] = txn
         self._current[thread_id] = None
+        self._forget(thread_id, leaving)
+
+    def _forget(self, thread_id: int, leaving: Optional[Transaction]) -> None:
+        # Out of both slots, no probe observes it: drop its memo, or a server
+        # keeps one per transaction served.  A requeued retry seen again
+        # rebuilds an identical entry (the memo is a function of the txn).
+        if (leaving is not None and leaving is not self._previous[thread_id]
+                and leaving is not self._current[thread_id]):
+            self._visible.pop(leaving.tid, None)
 
     def active(self, thread_id: int) -> Optional[Transaction]:
         return self._current[thread_id]

@@ -23,7 +23,6 @@ engine still runs its protocol underneath.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..common.config import TsDeferConfig
@@ -88,7 +87,8 @@ class TsDefer:
             accuracy=config.access_set_accuracy,
         )
         self.stats = TsDeferStats()
-        self._defer_count: dict[int, int] = defaultdict(int)
+        #: Deferrals per not-yet-committed tid (bounds each by max_defers).
+        self._defer_count: dict[int, int] = {}
         #: Optional conflict predictor (:class:`repro.predict.OnlinePolicy`).
         #: When set, transactions touching a predicted-hot key are checked
         #: with the policy's boosted knobs (``hot_num_lookups`` /
@@ -124,6 +124,7 @@ class TsDefer:
 
     def on_commit(self, thread_id: int, txn: Transaction, now: int) -> None:
         self.table.on_commit(thread_id, txn, now)
+        self._defer_count.pop(txn.tid, None)
 
     # -- DispatchFilter ----------------------------------------------------
     def filter(self, thread_id: int, txn: Transaction, now: int) -> tuple[bool, int]:
@@ -165,11 +166,12 @@ class TsDefer:
         if not likely_conflict:
             return False, cost
         self.stats.conflicts_witnessed += 1
-        if self._defer_count[txn.tid] >= cfg.max_defers:
+        deferred = self._defer_count.get(txn.tid, 0)
+        if deferred >= cfg.max_defers:
             self.stats.max_defer_hits += 1
             return False, cost
         if not self._rng.chance(defer_prob):
             return False, cost
-        self._defer_count[txn.tid] += 1
+        self._defer_count[txn.tid] = deferred + 1
         self.stats.deferrals += 1
         return True, cost + cfg.defer_cost

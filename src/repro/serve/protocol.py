@@ -114,7 +114,18 @@ _KINDS = {k.value: k for k in OpKind}
 
 
 def txn_from_wire(doc: Mapping, tid: int) -> Transaction:
-    """Rebuild a transaction from a submit frame under a server tid."""
+    """Rebuild a transaction from a submit frame under a server tid.
+
+    Keys and parameter values get hashed downstream (access sets, the
+    cost model), so one holding a JSON object is rejected here.
+    """
+    try:
+        return _txn_from_wire(doc, tid)
+    except RecursionError:
+        raise WireError("txn nests arrays too deeply") from None
+
+
+def _txn_from_wire(doc: Mapping, tid: int) -> Transaction:
     if not isinstance(doc, Mapping):
         raise WireError(f"txn must be an object, got {type(doc).__name__}")
     raw_ops = doc.get("ops")
@@ -124,16 +135,27 @@ def txn_from_wire(doc: Mapping, tid: int) -> Transaction:
     for i, entry in enumerate(raw_ops):
         if not isinstance(entry, list) or not 3 <= len(entry) <= 4:
             raise WireError(f"txn.ops[{i}] must be [kind, table, key(, value)]")
-        kind = _KINDS.get(entry[0])
+        kind = _KINDS.get(entry[0]) if isinstance(entry[0], str) else None
         if kind is None:
             raise WireError(f"txn.ops[{i}]: unknown op kind {entry[0]!r}")
-        if not isinstance(entry[1], str):
+        table = entry[1]
+        if not isinstance(table, str):
             raise WireError(f"txn.ops[{i}]: table must be a string")
-        value = _freeze(entry[3]) if len(entry) == 4 else None
-        ops.append(Operation(kind, entry[1], _freeze(entry[2]), value))
+        key = _freeze(entry[2])
+        try:
+            hash(key)
+        except TypeError:
+            raise WireError(f"txn.ops[{i}]: key must not contain an object") from None
+        ops.append(Operation(kind, table, key,
+                             _freeze(entry[3]) if len(entry) == 4 else None))
     params = doc.get("params") or {}
     if not isinstance(params, Mapping):
         raise WireError("txn.params must be an object")
+    params = {k: _freeze(v) for k, v in params.items()}
+    try:
+        hash(tuple(params.values()))
+    except TypeError:
+        raise WireError("txn.params values must not contain an object") from None
     for field in ("min_runtime_cycles", "io_delay_cycles"):
         v = doc.get(field, 0)
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -142,7 +164,7 @@ def txn_from_wire(doc: Mapping, tid: int) -> Transaction:
         tid=tid,
         template=str(doc.get("template", "adhoc")),
         ops=tuple(ops),
-        params={k: _freeze(v) for k, v in params.items()},
+        params=params,
         min_runtime_cycles=doc.get("min_runtime_cycles", 0),
         io_delay_cycles=doc.get("io_delay_cycles", 0),
         has_range=bool(doc.get("has_range", False)),
@@ -167,6 +189,8 @@ def decode_frame(line: bytes, allowed: tuple[str, ...]) -> dict:
         doc = json.loads(line)
     except json.JSONDecodeError as e:
         raise WireError(f"frame is not JSON: {e}") from None
+    except RecursionError:
+        raise WireError("frame nests too deeply") from None
     if not isinstance(doc, dict):
         raise WireError(f"frame must be an object, got {type(doc).__name__}")
     if doc.get("v", WIRE_SCHEMA) != WIRE_SCHEMA:

@@ -9,9 +9,9 @@ inner event loop — with a version built for throughput:
   the rare phases (dispatch, precommit, commit, finish, aborts, faults,
   arrivals) delegate to the parent's handlers, so their semantics can
   never drift from the reference engine.
-* **Tuple-ized op streams.**  Each transaction's operation sequence is
-  flattened once into ``(op, key, is_write, value)`` tuples, cached on
-  the transaction, so per-access key derivation is a tuple unpack.
+* **Tuple unpacking.**  An :class:`~repro.txn.operation.Operation` is a
+  tuple carrying its record key and write flag from construction, so
+  per-access key derivation is one unpack of the operation itself.
 * **Batched virtual-clock advance.**  When the next event in the heap is
   strictly later than a thread's next operation completion, that
   operation cannot interleave with anything — the engine advances the
@@ -52,17 +52,6 @@ from .engine import MulticoreEngine, _PHASE_SECTIONS
 
 class FastEngine(MulticoreEngine):
     """Drop-in engine with a flattened, batching event loop."""
-
-    @staticmethod
-    def _flat_ops(txn) -> tuple:
-        """``(op, record_key, is_write, value)`` per op, cached on the txn."""
-        flat = txn.__dict__.get("_flat_ops")
-        if flat is None:
-            flat = tuple(
-                (op, op.record_key, op.is_write, op.value) for op in txn.ops
-            )
-            txn.__dict__["_flat_ops"] = flat
-        return flat
 
     def _drain(self, start_time: int) -> int:  # noqa: C901 - deliberate
         events = self._events
@@ -140,10 +129,8 @@ class FastEngine(MulticoreEngine):
             # ---- inlined op phase (the hot path) ----------------------
             active = thread.active
             txn = active.txn
-            flat = txn.__dict__.get("_flat_ops")
-            if flat is None:
-                flat = self._flat_ops(txn)
-            nops = len(flat)
+            ops = txn.ops
+            nops = len(ops)
             now = when
             write_buffer = active.write_buffer
             reads_log = active.reads_log
@@ -162,7 +149,10 @@ class FastEngine(MulticoreEngine):
                         prof.push(sec_begin)
                         begin(active, now)
                         prof.pop()
-                op, key, is_write, value = flat[idx]
+                op = ops[idx]
+                # Operation is the tuple (kind, table, key, value,
+                # record_key, is_write): one unpack, no attribute calls.
+                _, _, _, value, key, is_write = op
                 if occ_fast:
                     # OccProtocol.on_access, verbatim: record the
                     # committed version at first touch, buffer writes.

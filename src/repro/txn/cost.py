@@ -19,7 +19,6 @@ transactions".  The models here mirror the paper's cascade:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Protocol
 
 from ..common.config import SimConfig
@@ -89,24 +88,27 @@ class HistoryCostModel:
 
     def __init__(self, fallback: CostModel | None = None):
         self._fallback = fallback or AccessSetSizeCostModel()
-        self._by_instance: dict[tuple, list[int]] = defaultdict(list)
-        self._by_template: dict[str, list[int]] = defaultdict(list)
+        # [sum, count] per signature: the integer mean needs nothing else,
+        # so a long-running server's history stays O(signatures).
+        self._by_instance: dict[tuple, list[int]] = {}
+        self._by_template: dict[str, list[int]] = {}
 
     def record(self, txn: Transaction, observed_cycles: int) -> None:
         """Add an observed execution to the history."""
-        self._by_instance[(txn.template, txn.param_signature())].append(observed_cycles)
-        self._by_template[txn.template].append(observed_cycles)
+        for table, sig in ((self._by_instance, (txn.template, txn.param_signature())),
+                           (self._by_template, txn.template)):
+            acc = table.setdefault(sig, [0, 0])
+            acc[0] += observed_cycles
+            acc[1] += 1
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._by_template.values())
+        return sum(count for _, count in self._by_template.values())
 
     def time(self, txn: Transaction) -> int:
-        exact = self._by_instance.get((txn.template, txn.param_signature()))
-        if exact:
-            return max(1, sum(exact) // len(exact))
-        close = self._by_template.get(txn.template)
-        if close:
-            return max(1, sum(close) // len(close))
+        acc = (self._by_instance.get((txn.template, txn.param_signature()))
+               or self._by_template.get(txn.template))
+        if acc is not None:
+            return max(1, acc[0] // acc[1])
         return self._fallback.time(txn)
 
 

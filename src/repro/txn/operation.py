@@ -9,8 +9,7 @@ hard-coded-template assumption of Section 3's Limitations).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 from typing import Tuple
 
 #: Global address of a record: (table name, primary key).
@@ -28,38 +27,44 @@ class OpKind(enum.Enum):
     #: (Section 3, Limitations (1)).
     SCAN = "S"
 
-    @property
-    def is_write(self) -> bool:
-        return self in (OpKind.WRITE, OpKind.INSERT)
+
+# Module constants: enum member lookups through the class cost a
+# descriptor call each, once per operation built.
+_WRITE, _INSERT = OpKind.WRITE, OpKind.INSERT
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(tuple):
     """One action on one record.
 
     ``value`` carries an optional payload for writes/inserts so that
     integration tests can run transactions with real data semantics; the
     synthetic benchmark generators leave it ``None`` and the engine writes
     a version token instead.
+
+    An immutable tuple ``(kind, table, key, value, record_key, is_write)``
+    with no per-instance ``__dict__``: the two derived fields the engine
+    reads on every simulated access are computed once, at construction,
+    not on first touch.
     """
 
-    kind: OpKind
-    table: str
-    key: object
-    value: object = None
+    __slots__ = ()
 
-    # Cached (not plain) properties: the engine's hot loop reads both on
-    # every simulated access, and after the first touch each is a plain
-    # instance-dict lookup.  cached_property writes the instance __dict__
-    # directly, which sidesteps the frozen-dataclass setattr guard and
-    # keeps operations pickled by older code lazily recomputable.
-    @cached_property
-    def record_key(self) -> Key:
-        return (self.table, self.key)
+    def __new__(cls, kind: OpKind, table: str, key: object,
+                value: object = None) -> "Operation":
+        return tuple.__new__(cls, (
+            kind, table, key, value, (table, key),
+            kind is _WRITE or kind is _INSERT,
+        ))
 
-    @cached_property
-    def is_write(self) -> bool:
-        return self.kind is OpKind.WRITE or self.kind is OpKind.INSERT
+    kind = property(itemgetter(0))
+    table = property(itemgetter(1))
+    key = property(itemgetter(2))
+    value = property(itemgetter(3))
+    record_key = property(itemgetter(4))
+    is_write = property(itemgetter(5))
+
+    def __getnewargs__(self) -> tuple:  # pickle rebuilds through __new__
+        return self[:4]
 
     def __repr__(self) -> str:  # compact: W[item:42]
         return f"{self.kind.value}[{self.table}:{self.key}]"

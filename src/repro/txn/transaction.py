@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from ..common.errors import WorkloadError
-from .operation import Key, Operation, OpKind
+from .operation import Key, Operation
 
 
 @dataclass
@@ -51,11 +51,9 @@ class Transaction:
         if not self.ops:
             raise WorkloadError(f"transaction {self.tid} has no operations")
         reads, writes = set(), set()
+        # Scans are not writes: they read their (optimistically) resolved keys.
         for op in self.ops:
-            if op.kind is OpKind.SCAN:
-                # Scans read their (optimistically) resolved keys.
-                reads.add(op.record_key)
-            elif op.is_write:
+            if op.is_write:
                 writes.add(op.record_key)
             else:
                 reads.add(op.record_key)

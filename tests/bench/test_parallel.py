@@ -8,6 +8,10 @@ crashing cell never takes down the sweep.
 
 from __future__ import annotations
 
+import copyreg
+import io
+import pickle
+
 import pytest
 
 from repro.bench import cache as workload_cache
@@ -28,8 +32,11 @@ from repro.bench.parallel import (
     run_experiment_cells,
 )
 from repro.bench.reporting import Series
+from repro.bench.workloads import YcsbGenerator
 from repro.common import ConfigError
+from repro.common.config import YcsbConfig
 from repro.obs import load_artifact
+from repro.txn import Operation
 
 #: Small enough that pooled runs stay in seconds; two seeds so the
 #: seed-averaging float arithmetic is actually exercised.
@@ -251,6 +258,47 @@ class TestWorkloadCache:
                              cache_dir=tmp_path)
         assert cache.builds == 0
         assert cache.disk_hits == 4
+
+
+    def test_build_in_an_older_layout_is_a_miss(self, tmp_path, monkeypatch):
+        # Format /1 pickled operations as frozen dataclasses: NEWOBJ with
+        # no arguments, then a BUILD of the field dict.  Such a file must
+        # be rebuilt, whether it sits under its own (old-format) key or,
+        # corrupted or hand-copied, under the current one.
+        class OldLayout(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is Operation:
+                    return (copyreg.__newobj__, (Operation,),
+                            {"kind": obj.kind, "table": obj.table,
+                             "key": obj.key, "value": obj.value})
+                return NotImplemented
+
+        def build():
+            return YcsbGenerator(YcsbConfig(num_records=100, ops_per_txn=4),
+                                 seed=3).make_workload(20)
+
+        buf = io.BytesIO()
+        OldLayout(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(build())
+        with pytest.raises(TypeError):
+            pickle.loads(buf.getvalue())  # the old layout cannot load
+        args = ("ycsb", {"records": 100}, 20, None, 3)
+        key = workload_cache.workload_key(*args)
+        monkeypatch.setattr(workload_cache, "DISK_FORMAT", "repro.workload/1")
+        old_key = workload_cache.workload_key(*args)
+        monkeypatch.undo()
+        assert workload_cache.DISK_FORMAT == "repro.workload/2"
+        assert old_key != key
+        cache = workload_cache.WorkloadCache(cache_dir=tmp_path)
+        for k in (old_key, key):
+            cache._path(k).parent.mkdir(parents=True, exist_ok=True)
+            cache._path(k).write_bytes(buf.getvalue())
+        got = cache.get_or_build(key, build)
+        assert (cache.builds, cache.disk_hits) == (1, 0)
+        assert [t.ops for t in got] == [t.ops for t in build()]
+        # The rebuild replaced the stale file: a fresh process now hits it.
+        again = workload_cache.WorkloadCache(cache_dir=tmp_path)
+        assert again.get_or_build(key, build) is not None
+        assert (again.builds, again.disk_hits) == (0, 1)
 
 
 class TestPlanning:

@@ -187,3 +187,55 @@ class TestPipelineResolution:
             assert [s.tids is not None for s in pipeline.spans] == \
                    [True] * len(pipeline.spans)
         asyncio.run(run())
+
+
+class TestMemoryFlat:
+    """A serving executor keeps nothing per answered transaction.
+
+    Memos and aggregates that once grew by one entry per transaction
+    (TsDEFER's probe-visible write sets and defer counts, the history
+    cost model's observation lists) must stay bounded: after warm-up,
+    traced heap growth per served transaction stays under a few bytes.
+    """
+
+    EPOCH = 256
+    WARM = 3
+    MEASURED = 6
+    BOUND_BYTES_PER_TXN = 64
+
+    @pytest.mark.parametrize("system", ["tskd-cc", "tskd-0"])
+    def test_retained_growth_per_txn_is_bounded(self, system):
+        import gc
+        import tracemalloc
+
+        # A key space small enough that warm-up creates every row, so
+        # database growth is over before measuring starts.
+        gen = YcsbGenerator(YcsbConfig(num_records=256, theta=0.6,
+                                       ops_per_txn=8), seed=4)
+        n_epochs = self.WARM + self.MEASURED
+        txns = list(gen.make_workload(n_epochs * self.EPOCH))
+        epochs = [txns[i * self.EPOCH:(i + 1) * self.EPOCH]
+                  for i in range(n_epochs)]
+        del txns
+        executor = EpochExecutor(ServeConfig(system=system), EXP)
+
+        def serve(epoch_id):
+            # Drop the caller's reference, as a server does once answered.
+            batch, epochs[epoch_id] = epochs[epoch_id], None
+            executor.execute(executor.schedule(batch, epoch_id), epoch_id)
+
+        for epoch_id in range(self.WARM):
+            serve(epoch_id)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for epoch_id in range(self.WARM, n_epochs):
+                serve(epoch_id)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_txn = grown / (self.MEASURED * self.EPOCH)
+        assert per_txn < self.BOUND_BYTES_PER_TXN, (
+            f"{system}: {per_txn:.1f} B retained per served transaction")

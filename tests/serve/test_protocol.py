@@ -128,3 +128,33 @@ class TestTxnValidation:
         with pytest.raises(WireError):
             txn_from_wire({"ops": [["read", "x", 1]],
                            "min_runtime_cycles": -1}, tid=1)
+
+    def test_rejects_object_valued_key(self):
+        for key in ({"a": 1}, [1, {"a": 1}]):
+            with pytest.raises(WireError, match=r"ops\[0\]: key"):
+                txn_from_wire({"ops": [["W", "t", key]]}, tid=1)
+
+    def test_rejects_array_valued_kind(self):
+        with pytest.raises(WireError, match="unknown op kind"):
+            txn_from_wire({"ops": [[["W"], "t", 1]]}, tid=1)
+
+    def test_rejects_object_valued_param(self):
+        # Parameters are hashed by the history cost model at schedule time.
+        with pytest.raises(WireError, match="params"):
+            txn_from_wire({"ops": [["W", "t", 1]], "params": {"p": {"a": 1}}},
+                          tid=1)
+
+    def test_object_values_are_payloads_not_keys(self):
+        t = txn_from_wire({"ops": [["W", "t", 1, {"a": [1, 2]}]]}, tid=1)
+        assert t.ops[0].value == {"a": [1, 2]}
+
+    def test_rejects_deep_nesting(self):
+        deep = "[" * 5_000 + "]" * 5_000
+        line = ('{"type":"submit","id":1,"txn":{"ops":[["W","t",%s]]}}'
+                % deep).encode()
+        with pytest.raises(WireError, match="nests too deeply"):
+            decode_frame(line, CLIENT_FRAMES)
+        # Shallow enough for the JSON parser, too deep to rebuild as tuples.
+        key = json.loads("[" * 900 + "]" * 900)
+        with pytest.raises(WireError, match="nests arrays too deeply"):
+            txn_from_wire({"ops": [["W", "t", key]]}, tid=1)

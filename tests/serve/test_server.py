@@ -224,6 +224,49 @@ class TestMalformedInput:
         asyncio.run(run())
 
 
+    def test_hostile_submits_get_errors_and_connection_survives(self):
+        # Object-valued keys, array-valued kinds, object-valued params and
+        # too-deep nesting once raised TypeError or RecursionError and
+        # closed the connection without an error frame.
+        async def run():
+            server = await start_server(
+                ServeConfig(port=0, epoch_max_txns=8, epoch_max_ms=30.0))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            for i, txn in enumerate((
+                    {"ops": [["W", "t", {"a": 1}]]},
+                    {"ops": [[["W"], "t", 1]]},
+                    {"ops": [["W", "t", 1]], "params": {"p": {"a": 1}}})):
+                writer.write(encode_frame(
+                    {"type": "submit", "id": i, "txn": txn}))
+                await writer.drain()
+                frame = decode_frame(
+                    await asyncio.wait_for(reader.readline(), 10),
+                    SERVER_FRAMES)
+                assert frame["type"] == "error", frame
+            # Nesting deep enough to exhaust the JSON parser's recursion.
+            deep = "[" * 5_000 + "]" * 5_000
+            writer.write(('{"type":"submit","id":8,"txn":{"ops":[["W","t",%s]]}}\n'
+                          % deep).encode())
+            await writer.drain()
+            frame = decode_frame(
+                await asyncio.wait_for(reader.readline(), 10), SERVER_FRAMES)
+            assert frame["type"] == "error", frame
+            writer.write(encode_frame(
+                {"type": "submit", "id": 9,
+                 "txn": txn_to_wire(make_txns(1)[0])}))
+            await writer.drain()
+            frame = decode_frame(
+                await asyncio.wait_for(reader.readline(), 10), SERVER_FRAMES)
+            assert frame["id"] == 9
+            assert frame["status"] == STATUS_COMMITTED
+            assert server.summary()["committed"] == 1
+            writer.close()
+            await writer.wait_closed()
+            await server.stop()
+        asyncio.run(run())
+
+
 class TestLoadgenDeterminism:
     def test_poisson_schedule_is_seeded(self):
         a = poisson_schedule(200, 5_000.0, seed=11)

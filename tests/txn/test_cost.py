@@ -1,7 +1,9 @@
 """Cost estimators: the history cascade, fallbacks, and noise."""
 
-from repro.common.config import SimConfig
+from repro.bench.workloads import TpccGenerator, YcsbGenerator
+from repro.common.config import SimConfig, TpccConfig, YcsbConfig
 from repro.common.rng import Rng
+from repro.sim.warmup import dry_run_cost
 from repro.txn import (
     AccessSetSizeCostModel,
     HistoryCostModel,
@@ -91,6 +93,47 @@ class TestHistoryModel:
         model.record(txn(0), 10)
         model.record(txn(1), 20)
         assert len(model) == 2
+
+    def test_matches_list_history_over_a_warm_up(self):
+        # The [sum, count] accumulators must give exactly the integer
+        # means the original per-signature observation lists gave.
+        class ListHistory:
+            def __init__(self, fallback):
+                self._fallback = fallback
+                self._by_instance, self._by_template = {}, {}
+
+            def record(self, t, cycles):
+                self._by_instance.setdefault(
+                    (t.template, t.param_signature()), []).append(cycles)
+                self._by_template.setdefault(t.template, []).append(cycles)
+
+            def time(self, t):
+                exact = self._by_instance.get((t.template, t.param_signature()))
+                if exact:
+                    return max(1, sum(exact) // len(exact))
+                close = self._by_template.get(t.template)
+                if close:
+                    return max(1, sum(close) // len(close))
+                return self._fallback.time(t)
+
+        sim = SimConfig()
+        tpcc = list(TpccGenerator(TpccConfig(num_warehouses=2), seed=3)
+                    .make_workload(600))
+        ycsb = list(YcsbGenerator(YcsbConfig(num_records=500), seed=4)
+                    .make_workload(300))
+        model = HistoryCostModel(fallback=OpCountCostModel(sim))
+        reference = ListHistory(OpCountCostModel(sim))
+        rng = Rng(11)
+        # A noisy warm-up (as warm_up_history records), repeated so the
+        # exact-parameter lists hold several observations each.
+        for t in (tpcc[:400] + ycsb[:200]) * 3:
+            observed = max(1, int(dry_run_cost(t, sim) * rng.uniform(0.5, 1.5)))
+            model.record(t, observed)
+            reference.record(t, observed)
+        assert len(model) == 1800
+        probes = tpcc + ycsb + [txn(0, template="never-seen")]
+        assert [model.time(t) for t in probes] == [
+            reference.time(t) for t in probes]
 
 
 class TestNoisyModel:

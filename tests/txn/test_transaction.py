@@ -1,5 +1,8 @@
 """Transactions, operations, and derived access sets."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.common.errors import WorkloadError
@@ -24,6 +27,41 @@ class TestOperation:
 
     def test_scan_is_not_a_write(self):
         assert not Operation(OpKind.SCAN, "t", 1).is_write
+
+    def test_immutable_without_instance_dict(self):
+        op = write("t", 1)
+        assert not hasattr(op, "__dict__")
+        with pytest.raises(AttributeError):
+            op.key = 2
+        with pytest.raises(AttributeError):
+            op.extra = 1
+
+    def test_value_equality_and_hash(self):
+        assert write("t", (1, 2), value="v") == write("t", (1, 2), value="v")
+        assert hash(read("t", 1)) == hash(read("t", 1))
+        assert read("t", 1) != write("t", 1)
+        assert write("t", 1, value="a") != write("t", 1, value="b")
+        assert len({read("t", 1), read("t", 1), insert("t", 1)}) == 2
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        # --shards N ships transactions to worker processes by pickle.
+        for op in (read("t", 1), write("w", (3, 4), value={"a": 1}),
+                   insert("i", "k"), Operation(OpKind.SCAN, "s", 9)):
+            back = pickle.loads(pickle.dumps(op, protocol))
+            assert type(back) is Operation
+            assert back == op
+            assert (back.kind, back.table, back.key, back.value) == (
+                op.kind, op.table, op.key, op.value)
+            assert back.record_key == op.record_key
+            assert back.is_write is op.is_write
+            assert repr(back) == repr(op)
+
+    def test_copies_keep_derived_fields(self):
+        op = write("t", (1, 2))
+        for back in (copy.copy(op), copy.deepcopy(op)):
+            assert back == op and back.record_key == ("t", (1, 2))
+            assert back.is_write
 
 
 class TestTransaction:
