@@ -44,14 +44,12 @@ def test_conflict_graph_build(benchmark, workload):
     benchmark(build)
 
 
-def test_strife_partition(benchmark, workload, graph):
-    benchmark(lambda: StrifePartitioner().partition(workload, 8, graph=graph,
-                                                    rng=Rng(0)))
+def test_strife_partition(benchmark, workload):
+    benchmark(lambda: StrifePartitioner().partition(workload, 8, rng=Rng(0)))
 
 
-def test_schism_partition(benchmark, workload, graph):
-    benchmark(lambda: SchismPartitioner().partition(workload, 8, graph=graph,
-                                                    rng=Rng(0)))
+def test_schism_partition(benchmark, workload):
+    benchmark(lambda: SchismPartitioner().partition(workload, 8, rng=Rng(0)))
 
 
 def test_tsgen_refinement(benchmark, workload, graph):

@@ -570,7 +570,7 @@ def overhead(scale: Scale) -> Series:
     for name, partitioner in (("Strife", StrifePartitioner()),
                               ("Schism", SchismPartitioner())):
         t0 = time.perf_counter()
-        plan = partitioner.partition(w, exp.sim.num_threads, graph=graph)
+        plan = partitioner.partition(w, exp.sim.num_threads)
         t_part = time.perf_counter() - t0
         tspar = TsPar(partitioner)
         normalised = tspar.make_plan(w, exp.sim.num_threads, cost, graph, Rng(0))

@@ -9,7 +9,9 @@ A *system* is any of:
   installed on the engine;
 * the string ``"dbcc"`` — DBx1000's default: round-robin buffers + CC.
 
-Every run builds a fresh engine so protocol state never leaks between
+Each runs as a TSKD plan (:func:`as_tskd`) through one epoch loop, so
+the static and the adaptive run differ only in their epochs.  Every run
+builds a fresh engine so protocol state never leaks between
 systems, and all systems of one experiment share the same workload
 objects (same skew bounds, same I/O stalls) and so the same conflict
 graph, which :meth:`Workload.conflict_graph` memoises per isolation level.
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..common.config import ExperimentConfig
+from ..common.config import TSDEFER_DISABLED, ExperimentConfig
 from ..common.rng import Rng
-from ..common.stats import Counters, RunResult, percentile
-from ..core.tskd import TSKD
+from ..common.stats import RunResult, percentile
+from ..core.tskd import TSKD, execute_phases
 from ..faults import FaultInjector, FaultPlan
 from ..obs.metrics import (
     LATENCY_BUCKETS_CYCLES,
@@ -32,11 +34,11 @@ from ..obs.metrics import (
 from ..obs.prof import Profiler, get_active_profiler
 from ..obs.tracing import Tracer
 from ..partition.base import Partitioner
-from ..sim.engine import MulticoreEngine
+from ..sim.engine import MulticoreEngine, PhaseResult, merge_phase_results
 from ..sim.fastengine import make_engine
 from ..sim.warmup import warm_up_history
 from ..txn.cost import CostModel
-from ..txn.workload import Workload, split_round_robin
+from ..txn.workload import Workload
 
 System = Union[Partitioner, TSKD, str]
 
@@ -75,6 +77,22 @@ def system_name(system: System) -> str:
     return system.name.capitalize()
 
 
+def as_tskd(system: System) -> TSKD:
+    """The TSKD plan that runs ``system``.
+
+    TSKD is a layer between a system's thread assignment and its engine
+    (Section 3), so every system is one: DBCC is TSKD with both modules
+    off over round-robin, and a bare partitioner is TSKD with both
+    modules off over that partitioner.
+    """
+    if isinstance(system, TSKD):
+        return system
+    if isinstance(system, str) and system.lower() != "dbcc":
+        raise ValueError(f"unknown system string {system!r}")
+    partitioner = None if isinstance(system, str) else system
+    return TSKD(partitioner, use_tspar=False, tsdefer=TSDEFER_DISABLED)
+
+
 def run_system(
     workload: Workload,
     system: System,
@@ -89,6 +107,16 @@ def run_system(
     prof: Optional[Profiler] = None,
 ) -> RunResult:
     """Execute ``workload`` under ``system`` and return the measurements.
+
+    Every system runs as a :class:`TSKD` plan (:func:`as_tskd`), epoch
+    by epoch on one persistent engine.  A static run is one epoch: the
+    whole bundle.  With ``exp.predict`` enabled, a TSKD system (other
+    than the enforced gate) runs adaptively: the bundle is cut into
+    ``predict.epoch_txns``-sized epochs, each planned on its own
+    conflict graph, and between epochs the
+    :class:`~repro.predict.policy.OnlinePolicy` decays its sketch,
+    refreshes the hot snapshot that steers the next epoch's TSgen pass,
+    and retunes TsDEFER (docs/adaptive.md).
 
     ``tracer`` streams structured span events from every engine phase
     (see :mod:`repro.obs.tracing`); ``metrics`` supplies the registry the
@@ -107,6 +135,8 @@ def run_system(
     An empty plan installs an inert injector and leaves the run — and its
     exported artifact — byte-identical to a no-faults run.
     """
+    from ..predict.policy import OnlinePolicy, fan_out
+
     sim = exp.sim
     k = sim.num_threads
     rng = Rng(exp.seed * 31 + 5)
@@ -125,217 +155,25 @@ def run_system(
             cost = warm_up_history(workload, sim, rng=rng.fork(1))
             prof.pop()
 
+    tskd = as_tskd(system)
+    enforced = tskd.use_tspar and tskd.queue_execution == "enforced"
     predict = exp.predict
-    if (predict is not None and predict.enabled and isinstance(system, TSKD)
-            and system.queue_execution != "enforced"):
-        # Adaptive mode re-plans per epoch against live sketch heat; the
-        # enforced CC-free gate assumes one precomputed whole-run
-        # schedule, so it keeps the static path.
-        return _run_adaptive(
-            workload, system, exp, cost, name, record_history,
-            db, tracer, metrics, injector, prof, rng,
-        )
+    # Bare partitioners, DBCC and the enforced CC-free gate (which
+    # assumes one precomputed whole-run schedule) keep the static path.
+    policy = None
+    if (predict is not None and predict.enabled and tskd is system
+            and tskd.queue_execution != "enforced"):
+        policy = OnlinePolicy(predict, exp.seed)
 
-    dispatch_filter = None
-    progress_hooks = None
-    schedule = None
-    phases: list[list[list]] = []
-
-    if isinstance(system, str):
-        if system.lower() != "dbcc":
-            raise ValueError(f"unknown system string {system!r}")
-        phases = [split_round_robin(list(workload), k)]
-    elif isinstance(system, TSKD):
-        graph = None
-        if system.use_tspar:
-            if prof is not None:
-                prof.push("bench.graph")
-            graph = workload.conflict_graph(system.isolation)
-            if prof is not None:
-                prof.pop()
-        if prof is not None:
-            prof.push("bench.schedule")
-        plan = system.prepare(workload, k, cost, rng=rng.fork(2), graph=graph)
-        if prof is not None:
-            prof.pop()
-        schedule = plan.schedule
-        phases = plan.phases
-        tsdefer = system.make_filter(k, rng=rng.fork(3))
-        if tsdefer is not None:
-            dispatch_filter = tsdefer
-            progress_hooks = tsdefer
-    else:  # baseline partitioner: sees access sets only, not cost estimates
-        if prof is not None:
-            prof.push("bench.graph")
-        graph = workload.conflict_graph()
-        if prof is not None:
-            prof.pop()
-            prof.push("bench.schedule")
-        plan = system.partition(workload, k, graph=graph, cost=None,
-                                rng=rng.fork(2))
-        if prof is not None:
-            prof.pop()
-        plan.validate(workload)
-        phases = [[list(p) for p in plan.parts]]
-        if plan.residual:
-            phases.append(split_round_robin(plan.residual, k))
-
-    totals = Counters()
-    busy = [0] * k
-    clock = 0
-    queue_retries: Optional[int] = None
-    latencies: list[int] = []
-    retry_counts: list[int] = []
-    contended = 0
-    registry = metrics if metrics is not None else MetricsRegistry()
-
-    enforced = (
-        isinstance(system, TSKD)
-        and system.use_tspar
-        and system.queue_execution == "enforced"
-        and schedule is not None
-    )
-    if enforced:
-        # Phase 1 CC-free: the scheduled order is upheld by dependency
-        # gating, so no CC bookkeeping runs at all (Section 6.1 footnote).
-        from ..core.enforced import ScheduleEnforcer
-
-        enforcer = ScheduleEnforcer(schedule, graph)
-        free_sim = sim.with_(cc="none", cc_op_overhead=0, commit_overhead=0)
-        gate_engine = make_engine(
-            free_sim, db=db, dispatch_gate=enforcer, progress_hooks=enforcer,
-            record_history=record_history, tracer=tracer, prof=prof,
-        )
-        enforcer.bind(gate_engine)
-        result = gate_engine.run(phases[0])
-        clock = result.end_time
-        totals.merge(result.counters)
-        latencies.extend(result.latencies)
-        retry_counts.extend(result.retry_counts)
-        for i, b in enumerate(result.thread_busy):
-            busy[i] += b
-        queue_retries = result.counters.aborts
-        contended += gate_engine.protocol.contended
-        registry.ingest(gate_engine.protocol.metrics_dict(), prefix="cc.")
-        remaining = phases[1:]
-        shared_versions = gate_engine.versions
-        shared_history = gate_engine.history
-    else:
-        remaining = phases
-        shared_versions = None
-        shared_history = None
-
+    tsdefer = tskd.make_filter(k, rng=rng.fork(3))
     # Faults target the CC execution engine only: the enforced CC-free
     # queue phase upholds a precomputed precedence schedule whose gating
     # assumes fixed thread placement, so chaos there would test the
     # enforcer's bookkeeping rather than the protocols under study.
     engine = make_engine(
         sim,
-        dispatch_filter=dispatch_filter,
-        progress_hooks=progress_hooks,
-        record_history=record_history,
-        db=db,
-        versions=shared_versions,
-        history=shared_history,
-        tracer=tracer,
-        faults=injector,
-        prof=prof,
-    )
-    if dispatch_filter is not None:
-        # Bounded future probing reads remote queues past headp.
-        dispatch_filter.table.bind_buffers(engine.buffer_of)
-        if injector is not None and injector.enabled:
-            dispatch_filter.table.bind_corruption(injector.probe_corrupt)
-        if prof is not None:
-            dispatch_filter.table.bind_profiler(prof)
-
-    for phase_idx, buffers in enumerate(remaining):
-        result = engine.run(buffers, start_time=clock)
-        clock = result.end_time
-        totals.merge(result.counters)
-        latencies.extend(result.latencies)
-        retry_counts.extend(result.retry_counts)
-        for i, b in enumerate(result.thread_busy):
-            busy[i] += b
-        if phase_idx == 0 and schedule is not None and not enforced:
-            queue_retries = result.counters.aborts
-    contended += engine.protocol.contended
-    latencies.sort()
-
-    _populate_registry(registry, totals, engine, dispatch_filter, schedule,
-                       latencies, retry_counts)
-    if injector is not None:
-        injector.publish(registry)  # no-op for an empty plan
-    run = RunResult(
-        name=name or system_name(system),
-        committed=totals.committed,
-        makespan_cycles=clock,
-        retries=totals.aborts,
-        deferrals=totals.deferrals,
-        contended_accesses=contended,
-        wasted_cycles=totals.wasted_cycles,
-        blocked_cycles=totals.blocked_cycles,
-        num_threads=k,
-        thread_busy_cycles=tuple(busy),
-        scheduled_pct=schedule.scheduled_pct if schedule is not None else None,
-        queue_retries=queue_retries,
-        latency_p50=percentile(latencies, 0.50),
-        latency_p95=percentile(latencies, 0.95),
-        latency_p99=percentile(latencies, 0.99),
-        metrics=registry,
-    )
-    _publish_run_gauges(registry, run)
-    if record_history:
-        # Stash the engine so callers can inspect history / storage.
-        object.__setattr__(run, "_engine", engine)
-    return run
-
-
-def _run_adaptive(
-    workload: Workload,
-    system: TSKD,
-    exp: ExperimentConfig,
-    cost: CostModel,
-    name: Optional[str],
-    record_history: bool,
-    db,
-    tracer: Optional[Tracer],
-    metrics: Optional[MetricsRegistry],
-    injector: Optional[FaultInjector],
-    prof: Optional[Profiler],
-    rng: Rng,
-) -> RunResult:
-    """Epochized adaptive execution (``exp.predict``; docs/adaptive.md).
-
-    Instead of one whole-workload schedule, the bundle is cut into
-    ``predict.epoch_txns``-sized epochs planned and executed back to back
-    on one persistent engine — the serving pipeline's structure, driven
-    from the batch runner.  Between epochs the
-    :class:`~repro.predict.policy.OnlinePolicy` decays its sketch,
-    refreshes the hot snapshot that steers the next epoch's TSgen pass,
-    and retunes TsDEFER from witnessed-conflict deltas.  Each epoch is
-    planned on its own conflict graph, exactly as
-    :meth:`~repro.serve.pipeline.EpochExecutor.schedule` plans a served
-    epoch, so planning costs O(epoch conflict degree) per transaction,
-    not O(bundle conflict degree).
-
-    The RNG forks mirror the static path (fork(2) for planning, fork(3)
-    for the filter) with a per-epoch sub-fork, so two identical seeded
-    adaptive runs are bit-identical.
-    """
-    from ..predict.policy import HookFanout, OnlinePolicy
-
-    sim = exp.sim
-    k = sim.num_threads
-    predict = exp.predict
-    policy = OnlinePolicy(predict, exp.seed)
-
-    tsdefer = system.make_filter(k, rng=rng.fork(3))
-    hooks = HookFanout([tsdefer, policy])
-    engine = make_engine(
-        sim,
         dispatch_filter=tsdefer,
-        progress_hooks=hooks,
+        progress_hooks=fan_out(tsdefer, policy),
         record_history=record_history,
         db=db,
         tracer=tracer,
@@ -343,99 +181,126 @@ def _run_adaptive(
         prof=prof,
     )
     if tsdefer is not None:
+        # Bounded future probing reads remote queues past headp.
         tsdefer.table.bind_buffers(engine.buffer_of)
         if injector is not None and injector.enabled:
             tsdefer.table.bind_corruption(injector.probe_corrupt)
         if prof is not None:
             tsdefer.table.bind_profiler(prof)
-    steering = predict.steer and system.use_tspar
-    if steering:
-        system.tspar.tsgen_kwargs["heat"] = policy
-    if predict.retune and tsdefer is not None:
-        tsdefer.heat = policy
 
     registry = metrics if metrics is not None else MetricsRegistry()
-    totals = Counters()
-    busy = [0] * k
-    clock = 0
-    queue_retries = 0
-    latencies: list[int] = []
-    retry_counts: list[int] = []
-    merged_residual = 0
-    input_residual = 0
-
-    txns = list(workload)
-    chunk = predict.epoch_txns
-    prep_rng = rng.fork(2)
-    epochs = 0
+    results = []
+    clock = queue_retries = merged_residual = input_residual = contended = 0
+    plan_rng = rng.fork(2)
+    if policy is None:
+        epochs = [(workload, plan_rng)]
+    else:
+        epochs = _epochs(workload, predict.epoch_txns, plan_rng)
+        policy.install(tskd, tsdefer)
     try:
-        for start in range(0, len(txns), chunk):
-            epochs += 1
-            sub = Workload(txns[start:start + chunk],
-                           name=f"{workload.name}-e{epochs}")
+        for window, window_rng in epochs:
             if prof is not None:
                 prof.push("bench.schedule")
-            plan = system.prepare(sub, k, cost, rng=prep_rng.fork(epochs))
+            plan = tskd.prepare(window, k, cost, rng=window_rng)
             if prof is not None:
                 prof.pop()
+            phases = plan.phases
+            epoch = []
+            if enforced:
+                gate = _gate_engine(plan.schedule,
+                                 window.conflict_graph(tskd.isolation),
+                                 engine, sim, db, record_history, tracer, prof)
+                epoch.append(gate.run(phases[0], start_time=clock))
+                clock = epoch[0].end_time
+                contended += gate.protocol.contended
+                registry.ingest(gate.protocol.metrics_dict(), prefix="cc.")
+                phases = phases[1:]
+            epoch.extend(execute_phases(engine, phases, start_time=clock))
+            clock = epoch[-1].end_time
+            results.extend(epoch)
+            queue_retries += epoch[0].counters.aborts
             schedule = plan.schedule
-            epoch_aborts = 0
-            for phase_idx, buffers in enumerate(plan.phases):
-                result = engine.run(buffers, start_time=clock)
-                clock = result.end_time
-                totals.merge(result.counters)
-                epoch_aborts += result.counters.aborts
-                latencies.extend(result.latencies)
-                retry_counts.extend(result.retry_counts)
-                for i, b in enumerate(result.thread_busy):
-                    busy[i] += b
-                if phase_idx == 0 and schedule is not None:
-                    queue_retries += result.counters.aborts
             if schedule is not None:
                 merged_residual += schedule.merged_residual
                 input_residual += schedule.input_residual
                 if schedule.stats is not None:
                     registry.ingest(schedule.stats.as_dict(), prefix="tsgen.")
-            policy.end_epoch(tsdefer, aborts=epoch_aborts,
-                             dispatched=len(sub))
+            if policy is not None:
+                aborts = sum(r.counters.aborts for r in epoch)
+                policy.end_epoch(tsdefer, aborts=aborts, dispatched=len(window))
     finally:
-        if steering:
-            system.tspar.tsgen_kwargs.pop("heat", None)
+        if policy is not None:
+            policy.uninstall(tskd)
 
-    contended = engine.protocol.contended
-    latencies.sort()
-    _populate_registry(registry, totals, engine, tsdefer, None,
-                       latencies, retry_counts)
+    # An empty bundle cut into epochs has no epoch: one empty phase
+    # stands in, so the totals read zero.
+    total = merge_phase_results(results or [engine.run([[]] * k)])
+    contended += engine.protocol.contended
+    latencies = sorted(total.latencies)
+    _populate_registry(registry, total, engine, tsdefer, latencies)
     if injector is not None:
-        injector.publish(registry)
-    policy.publish(registry)
-    scheduled_pct = None
-    if system.use_tspar:
-        scheduled_pct = (merged_residual / input_residual
-                         if input_residual else 1.0)
+        injector.publish(registry)  # no-op for an empty plan
+    if policy is not None:
+        policy.publish(registry)
+    scheduled = tskd.use_tspar
     run = RunResult(
         name=name or system_name(system),
-        committed=totals.committed,
+        committed=total.counters.committed,
         makespan_cycles=clock,
-        retries=totals.aborts,
-        deferrals=totals.deferrals,
+        retries=total.counters.aborts,
+        deferrals=total.counters.deferrals,
         contended_accesses=contended,
-        wasted_cycles=totals.wasted_cycles,
-        blocked_cycles=totals.blocked_cycles,
+        wasted_cycles=total.counters.wasted_cycles,
+        blocked_cycles=total.counters.blocked_cycles,
         num_threads=k,
-        thread_busy_cycles=tuple(busy),
-        scheduled_pct=scheduled_pct,
-        queue_retries=queue_retries if system.use_tspar else None,
+        thread_busy_cycles=total.thread_busy,
+        scheduled_pct=((merged_residual / input_residual
+                        if input_residual else 1.0) if scheduled else None),
+        queue_retries=queue_retries if scheduled else None,
         latency_p50=percentile(latencies, 0.50),
         latency_p95=percentile(latencies, 0.95),
         latency_p99=percentile(latencies, 0.99),
         metrics=registry,
     )
     _publish_run_gauges(registry, run)
-    object.__setattr__(run, "_policy", policy)
+    if policy is not None:
+        object.__setattr__(run, "_policy", policy)
     if record_history:
+        # Stash the engine so callers can inspect history / storage.
         object.__setattr__(run, "_engine", engine)
     return run
+
+
+def _epochs(workload: Workload, epoch_txns: int, rng: Rng):
+    """Yield ``(epoch workload, planning rng)`` slices, one at a time.
+
+    Built lazily so each epoch's workload, and the conflict graph it
+    memoises, is freed before the next epoch is planned.
+    """
+    txns = list(workload)
+    for i, start in enumerate(range(0, len(txns), epoch_txns), 1):
+        yield (Workload(txns[start:start + epoch_txns],
+                        name=f"{workload.name}-e{i}"), rng.fork(i))
+
+
+def _gate_engine(schedule, graph, engine, sim, db, record_history, tracer, prof):
+    """The CC-free engine that runs a schedule's queue phase, gated.
+
+    The scheduled order is upheld by dependency gating, so no CC
+    bookkeeping runs at all (Section 6.1 footnote).  It shares committed
+    versions and history with ``engine``, which runs the residual.
+    """
+    from ..core.enforced import ScheduleEnforcer
+
+    enforcer = ScheduleEnforcer(schedule, graph)
+    gate = make_engine(
+        sim.with_(cc="none", cc_op_overhead=0, commit_overhead=0),
+        db=db, dispatch_gate=enforcer, progress_hooks=enforcer,
+        record_history=record_history, versions=engine.versions,
+        history=engine.history, tracer=tracer, prof=prof,
+    )
+    enforcer.bind(gate)
+    return gate
 
 
 def policy_of(result: RunResult):
@@ -450,21 +315,17 @@ def policy_of(result: RunResult):
 
 def _populate_registry(
     registry: MetricsRegistry,
-    totals: Counters,
+    total: PhaseResult,
     engine: MulticoreEngine,
     dispatch_filter,
-    schedule,
     latencies: list[int],
-    retry_counts: list[int],
 ) -> None:
     """Fold every component's instrumentation into the run's registry."""
-    registry.ingest_counters(totals)
+    registry.ingest_counters(total.counters)
     registry.ingest(engine.protocol.metrics_dict(), prefix="cc.")
     engine.restart_policy.publish(registry)
     if dispatch_filter is not None:
         dispatch_filter.publish(registry)
-    if schedule is not None and schedule.stats is not None:
-        registry.ingest(schedule.stats.as_dict(), prefix="tsgen.")
     registry.histogram(
         "latency.service_cycles", LATENCY_BUCKETS_CYCLES,
         "per-transaction service latency (dispatch to completion)",
@@ -472,7 +333,7 @@ def _populate_registry(
     registry.histogram(
         "retries.per_txn", RETRY_BUCKETS,
         "aborted attempts per committed transaction",
-    ).observe_many(retry_counts)
+    ).observe_many(total.retry_counts)
 
 
 def _publish_run_gauges(registry: MetricsRegistry, run: RunResult) -> None:

@@ -342,7 +342,7 @@ class ServeConfig:
     #: TCP port; 0 binds an ephemeral port (tests / loopback drives).
     port: int = 0
     #: System spec executed per epoch (repro.bench.runner.SYSTEM_SPECS,
-    #: enforced "!" variants excluded — see TSKD.execute_plan).
+    #: enforced "!" variants excluded — see serve.pipeline.SERVABLE_SYSTEMS).
     system: str = "tskd-0"
     epoch_max_txns: int = 256
     epoch_max_ms: float = 50.0

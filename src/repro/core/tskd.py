@@ -18,14 +18,14 @@ TSKD[CC]    TsDEFER only, over the engine's round-robin assignment
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..common.config import TSDEFER_DISABLED, TsDeferConfig
 from ..common.errors import ConfigError
 from ..common.rng import Rng
 from ..partition import Partitioner, make_partitioner
-from ..txn.conflict_graph import ConflictGraph
+from ..sim.engine import PhaseResult
 from ..txn.conflicts import IsolationLevel
 from ..txn.cost import CostModel
 from ..txn.transaction import Transaction
@@ -126,30 +126,29 @@ class TSKD:
         k: int,
         cost: CostModel,
         rng: Optional[Rng] = None,
-        graph: Optional[ConflictGraph] = None,
     ) -> ExecutionPlan:
         """Compute the execution plan for a bundled workload.
 
         With TsPAR enabled: phase 1 runs the RC-free queues in schedule
         order; phase 2 (when a residual remains) spreads the residual
         round-robin over all threads, executed with CC + TsDEFER.
-        Without TsPAR (TSKD[CC]): a single round-robin phase.
+        Without TsPAR: the input plan itself — round-robin for TSKD[CC]
+        and DBCC, the partitioner's parts then its residual otherwise.
         """
         rng = rng or Rng(0)
         if not self.use_tspar:
             if self.partitioner is None:
                 # TSKD[CC]: the engine's own lightweight assignment.
                 return ExecutionPlan(phases=[split_round_robin(list(workload), k)])
-            # TsDEFER-only ablation: execute the partitioner's own plan,
-            # with TsDEFER as the only TSKD module active.
-            plan = self.partitioner.partition(
-                workload, k, graph=graph, cost=None, rng=rng
-            )
+            # The partitioner's own plan, as it would run stand-alone: it
+            # sees access sets only, not cost estimates.
+            plan = self.partitioner.partition(workload, k, cost=None, rng=rng)
+            plan.validate(workload)
             phases = [[list(p) for p in plan.parts]]
             if plan.residual:
                 phases.append(split_round_robin(plan.residual, k))
             return ExecutionPlan(phases=phases)
-        graph = graph or workload.conflict_graph(self.isolation)
+        graph = workload.conflict_graph(self.isolation)
         schedule = self.tspar.schedule(workload, k, cost, graph=graph, rng=rng)
         phases = [[list(q) for q in schedule.queues]]
         if schedule.residual:
@@ -202,41 +201,27 @@ class TSKD:
             loads[i] += sum(cost.time(t) for t in group)
         return buffers
 
-    def execute_plan(self, engine, plan: ExecutionPlan, start_time: int = 0):
-        """Run a prepared plan's phases on ``engine``, back to back.
-
-        This is the execution half of the serving pipeline
-        (:mod:`repro.serve.pipeline`): the engine persists across calls —
-        database, committed versions, CC metadata, and the virtual clock
-        cursor all carry over — so successive epochs execute against one
-        continuously-evolving store exactly like successive bundles hit a
-        live system.  Returns the merged :class:`~repro.sim.engine.PhaseResult`
-        covering every phase of the plan.
-
-        Only the paper's evaluated ``queue_execution="cc"`` configuration
-        is supported here: enforced CC-free gating builds a second engine
-        with CC stripped (see :mod:`repro.bench.runner`), which cannot
-        share a persistent database epoch over epoch.
-        """
-        from ..sim.engine import merge_phase_results
-
-        if self.queue_execution != "cc":
-            raise ConfigError(
-                "execute_plan supports queue_execution='cc' only; enforced "
-                "gating needs the two-engine path in repro.bench.runner")
-        results = []
-        clock = start_time
-        for buffers in plan.phases:
-            result = engine.run([list(b) for b in buffers], start_time=clock)
-            clock = result.end_time
-            results.append(result)
-        return merge_phase_results(results)
-
     def make_filter(self, k: int, rng: Optional[Rng] = None) -> Optional[TsDefer]:
         """Instantiate the TsDEFER filter for a k-thread engine (or None)."""
         if not self.tsdefer_config.enabled:
             return None
         return TsDefer(self.tsdefer_config, k, rng or Rng(1), isolation=self.isolation)
+
+
+def execute_phases(engine, phases, start_time: int = 0) -> list[PhaseResult]:
+    """Run phases of per-thread buffers on ``engine``, back to back.
+
+    The one loop that executes a plan.  The engine persists across calls
+    — database, committed versions, CC metadata — so successive epochs
+    execute against one continuously-evolving store exactly like
+    successive bundles hit a live system; each phase starts where the
+    previous one ended on the virtual clock.
+    """
+    results = []
+    for buffers in phases:
+        results.append(engine.run(buffers, start_time=start_time))
+        start_time = results[-1].end_time
+    return results
 
 
 def tskd_disabled_variant(base: TSKD, *, tspar: bool, tsdefer: bool) -> TSKD:

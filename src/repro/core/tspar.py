@@ -61,8 +61,7 @@ class TsPar:
             # access sets, not runtime estimates (cost=None picks its own
             # static model).  Only the scheduling refinement that follows
             # uses the history-based estimates.
-            plan = self.partitioner.partition(workload, k, graph=graph,
-                                              cost=None, rng=rng)
+            plan = self.partitioner.partition(workload, k, cost=None, rng=rng)
             plan.validate(workload)
         plan = self._demote_range_txns(plan)
         if any(plan.parts) and not getattr(

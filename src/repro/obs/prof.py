@@ -52,8 +52,7 @@ progress_table.probe        Section 5 lookup probes
 faults.apply                injected-fault application
 obs.trace                   tracer emission (tracing's own cost)
 bench.warmup                history-cost warm-up before the run
-bench.graph                 conflict-graph construction
-bench.schedule              TSKD prepare / partitioner partition
+bench.schedule              TSKD prepare, conflict graph included
 ==========================  ============================================
 """
 

@@ -94,7 +94,6 @@ class Partitioner(Protocol):
         self,
         workload: Workload,
         k: int,
-        graph: Optional[ConflictGraph] = None,
         cost: Optional[CostModel] = None,
         rng: Optional[Rng] = None,
     ) -> PartitionPlan: ...

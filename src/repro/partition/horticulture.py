@@ -23,7 +23,6 @@ from collections import Counter, defaultdict
 from typing import Optional
 
 from ..common.rng import Rng
-from ..txn.conflict_graph import ConflictGraph
 from ..txn.cost import CostModel
 from ..txn.transaction import Transaction
 from ..txn.workload import Workload
@@ -46,7 +45,6 @@ class HorticulturePartitioner:
         self,
         workload: Workload,
         k: int,
-        graph: Optional[ConflictGraph] = None,
         cost: Optional[CostModel] = None,
         rng: Optional[Rng] = None,
     ) -> PartitionPlan:

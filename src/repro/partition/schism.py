@@ -21,7 +21,6 @@ from collections import Counter, defaultdict
 from typing import Optional
 
 from ..common.rng import Rng
-from ..txn.conflict_graph import ConflictGraph
 from ..txn.cost import CostModel
 from ..txn.transaction import Transaction
 from ..txn.workload import Workload
@@ -43,7 +42,6 @@ class SchismPartitioner:
         self,
         workload: Workload,
         k: int,
-        graph: Optional[ConflictGraph] = None,
         cost: Optional[CostModel] = None,
         rng: Optional[Rng] = None,
     ) -> PartitionPlan:

@@ -31,7 +31,6 @@ from collections import Counter
 from typing import Optional
 
 from ..common.rng import Rng
-from ..txn.conflict_graph import ConflictGraph
 from ..txn.cost import AccessSetSizeCostModel, CostModel
 from ..txn.transaction import Transaction
 from ..txn.workload import Workload
@@ -53,7 +52,6 @@ class StrifePartitioner:
         self,
         workload: Workload,
         k: int,
-        graph: Optional[ConflictGraph] = None,
         cost: Optional[CostModel] = None,
         rng: Optional[Rng] = None,
     ) -> PartitionPlan:

@@ -49,8 +49,8 @@ RETUNE_TAIL = 16
 class HookFanout:
     """Broadcast engine progress callbacks to several hooks.
 
-    The batch runner needs the same fanout the serve pipeline has: the
-    TsDEFER progress table and the policy both want commit events.
+    The TsDEFER progress table, the policy and the serve commit log all
+    want commit events; :func:`fan_out` builds one only when needed.
     """
 
     def __init__(self, hooks: Iterable[object]):
@@ -63,6 +63,18 @@ class HookFanout:
     def on_commit(self, thread_id: int, txn: "Transaction", now: int) -> None:
         for h in self.hooks:
             h.on_commit(thread_id, txn, now)
+
+
+def fan_out(*hooks):
+    """One progress-hooks object for the given hooks (None entries skipped).
+
+    A single hook is returned as is and no hook as None, so an engine
+    with one listener pays no fanout call per dispatch and commit.
+    """
+    live = [h for h in hooks if h is not None]
+    if len(live) > 1:
+        return HookFanout(live)
+    return live[0] if live else None
 
 
 def _step(axis: Sequence, value, direction: int):
@@ -105,6 +117,23 @@ class OnlinePolicy:
         # abort-rate EMAs and epochs spent at the current setting.
         self._rates: dict[tuple, float] = {}
         self._settled = 0
+
+    # -- wiring -------------------------------------------------------------
+    def install(self, tskd, tsdefer: Optional["TsDefer"]) -> None:
+        """Steer ``tskd``'s TSgen pass and retune ``tsdefer``, as configured.
+
+        The policy also has to observe commits: pass it to the engine's
+        progress hooks (:func:`fan_out`).
+        """
+        if self.config.steer and tskd.use_tspar:
+            tskd.tspar.tsgen_kwargs["heat"] = self
+        if self.config.retune and tsdefer is not None:
+            tsdefer.heat = self
+
+    def uninstall(self, tskd) -> None:
+        """Stop steering ``tskd``, which may outlive this policy's run."""
+        if tskd.tspar.tsgen_kwargs.get("heat") is self:
+            del tskd.tspar.tsgen_kwargs["heat"]
 
     # -- observation (engine progress hooks) ------------------------------
     def on_dispatch(self, thread_id: int, txn: "Transaction", now: int) -> None:

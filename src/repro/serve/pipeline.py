@@ -32,10 +32,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from ..common.config import TSDEFER_DISABLED, ExperimentConfig, ServeConfig
+from ..common.config import ExperimentConfig, ServeConfig
 from ..common.rng import Rng
-from ..core.tskd import TSKD, ExecutionPlan
-from ..sim.engine import MulticoreEngine, PhaseResult
+from ..core.tskd import TSKD, ExecutionPlan, execute_phases
+from ..sim.engine import MulticoreEngine, PhaseResult, merge_phase_results
 from ..sim.fastengine import make_engine
 from ..sim.stream import assign_least_loaded
 from ..storage.database import Database
@@ -47,25 +47,24 @@ from .batcher import Epoch, EpochBatcher
 
 #: Systems a serving executor accepts: TSKD instances with CC-backed
 #: queue execution, or plain dbcc as the no-scheduling baseline.  Bare
-#: partitioners and enforced ("!") variants need the two-engine batch
-#: path in repro.bench.runner and cannot share a persistent store.
+#: partitioners are bundle baselines for the batch runner only, and
+#: enforced ("!") variants run their queue phase on a second, CC-free
+#: engine (repro.bench.runner), which cannot share a persistent store.
 SERVABLE_SYSTEMS = ("dbcc", "tskd-s", "tskd-c", "tskd-h", "tskd-0", "tskd-cc")
 
 
 def make_servable_system(spec: str) -> TSKD:
     """Resolve a system spec into a TSKD usable for continuous serving."""
-    name = spec.lower()
-    if name == "dbcc":
-        # Round-robin + CC, nothing else: modelled as a TSKD with both
-        # modules off so the serving path is uniform.
-        return TSKD(partitioner=None, use_tspar=False, tsdefer=TSDEFER_DISABLED)
-    from ..bench.runner import make_system
+    from ..bench.runner import as_tskd, make_system
 
-    system = make_system(name)
-    if not isinstance(system, TSKD):
+    system = make_system(spec)
+    if not isinstance(system, (TSKD, str)):  # a bare partitioner
         raise ValueError(
             f"system {spec!r} is not servable; choose from {SERVABLE_SYSTEMS}"
         )
+    # DBCC (round-robin + CC, nothing else) becomes a TSKD with both
+    # modules off, so the serving path is uniform.
+    system = as_tskd(system)
     if system.queue_execution != "cc":
         raise ValueError(
             "enforced queue execution cannot serve a persistent store; "
@@ -118,21 +117,6 @@ class _CommitLog:
         return out
 
 
-class _HookFanout:
-    """Broadcast engine progress callbacks to several listeners."""
-
-    def __init__(self, hooks: Sequence):
-        self._hooks = tuple(hooks)
-
-    def on_dispatch(self, thread_id: int, txn: Transaction, now: int) -> None:
-        for h in self._hooks:
-            h.on_dispatch(thread_id, txn, now)
-
-    def on_commit(self, thread_id: int, txn: Transaction, now: int) -> None:
-        for h in self._hooks:
-            h.on_commit(thread_id, txn, now)
-
-
 class EpochExecutor:
     """Deterministic schedule/execute core shared by server and replay."""
 
@@ -150,19 +134,15 @@ class EpochExecutor:
         #: the engine's usual lazy-ensure path).
         self.db = db if db is not None else Database()
         tsdefer = self.tskd.make_filter(self.k, rng=Rng(exp.seed).fork(3))
-        from ..predict.policy import make_policy
+        from ..predict.policy import fan_out, make_policy
 
         #: Online adaptive policy (repro.predict), or None for a static
         #: server.  When present it observes commits via the hook fanout,
         #: steers TsPAR through tsgen's ``heat`` hook, and retunes the
         #: TsDEFER filter at each epoch boundary.
         self.policy = make_policy(exp.predict, exp.seed)
-        hooks = [h for h in (tsdefer, self.policy, self.commit_log)
-                 if h is not None]
-        if self.policy is not None and exp.predict.steer and self.tskd.use_tspar:
-            self.tskd.tspar.tsgen_kwargs["heat"] = self.policy
-        if self.policy is not None and exp.predict.retune and tsdefer is not None:
-            tsdefer.heat = self.policy
+        if self.policy is not None:
+            self.policy.install(self.tskd, tsdefer)
         #: Optional span sink: engine events stream into it across every
         #: epoch, and execute() adds one "epoch" event per epoch so the
         #: Chrome exporter can draw the epoch track (repro trace --chrome).
@@ -171,7 +151,7 @@ class EpochExecutor:
             exp.sim,
             db=self.db,
             dispatch_filter=tsdefer,
-            progress_hooks=_HookFanout(hooks),
+            progress_hooks=fan_out(tsdefer, self.policy, self.commit_log),
             tracer=tracer,
         )
         self.commit_log.bind(self.engine)
@@ -246,7 +226,8 @@ class EpochExecutor:
                         if op.table not in self.db:
                             self.db.create_table(op.table, ordered=True)
         start = self.clock
-        result = self.tskd.execute_plan(self.engine, plan, start_time=start)
+        result = merge_phase_results(
+            execute_phases(self.engine, plan.phases, start_time=start))
         self.clock = result.end_time
         if canonical is None:
             canonical = sorted(

@@ -22,11 +22,28 @@ and say why in the commit message.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench.experiments import Scale, run_experiment
-from repro.bench.runner import policy_of, run_system
+from repro.bench.experiments import (
+    Scale,
+    default_exp,
+    run_experiment,
+    tpcc_workload,
+    ycsb_workload,
+)
+from repro.bench.parallel import WORKER_HASH_SEED
+from repro.bench.runner import (
+    SYSTEM_SPECS,
+    make_system,
+    policy_of,
+    run_system,
+)
 from repro.bench.workloads import YcsbGenerator, drifting_ycsb_workload
 from repro.common import ExperimentConfig, Rng, SimConfig, YcsbConfig
 from repro.common.config import PredictConfig
@@ -156,4 +173,84 @@ def test_adaptive_path_golden(which):
     digest = config_hash([_adaptive_digest(which, seed) for seed in (0, 1)])
     assert digest == GOLDEN_ADAPTIVE[which], (
         f"TSKD[{which}] adaptive run drifted from its golden digest"
+    )
+
+
+# -- static (whole-bundle) path goldens -----------------------------------
+#
+# Every system spec, plus the enforced CC-free gate, run once as a whole
+# bundle on tiny YCSB (theta 0.9) and tiny TPC-C (4 warehouses).  With
+# the predictor on, TSKD specs take the epoched path while DBCC, the
+# bare partitioners and the enforced gate fall back to the static one;
+# both arms are pinned.  Each digest covers every RunResult field, the
+# metrics registry and the policy snapshot when the run has one.
+#
+# Horticulture's key ranking and Schism's plurality vote break ties in
+# frozenset iteration order, which follows the str hash seed, so, like
+# the parallel harness's workers, these digests are computed in a child
+# interpreter with the pinned hash seed.
+
+STATIC_SPECS = SYSTEM_SPECS + ("tskd-s!", "tskd-0!")
+
+#: Predictor arm: three epochs over the 48-txn bundle.
+STATIC_PREDICT = PredictConfig(epoch_txns=20)
+
+#: Recorded on the commit before the static and epoched runs shared one
+#: loop (the change must be bit-invisible for every case).
+GOLDEN_STATIC = {
+    "ycsb/off":
+        "70f86944811d88f789f73dd2fd6b04194348e972193028d172ea8973c9b68c35",
+    "ycsb/on":
+        "584485497b0d88bd06cec5960334cddc304e07c84a8182ecbd45113056b0bbb3",
+    "tpcc/off":
+        "6ccf5b64a161fa883418ad384640e013ecdc8d897ec55abb86c92f62636c92e2",
+    "tpcc/on":
+        "b0f649076b09d4e016bd3fc2b3427ca4292e2bc2f8911f40dbfbb679e3d6b25a",
+}
+
+
+def _run_digest(result) -> str:
+    fields = {f.name: getattr(result, f.name)
+              for f in dataclasses.fields(result) if f.name != "metrics"}
+    policy = policy_of(result)
+    return config_hash({
+        "result": fields,
+        "metrics": result.metrics.to_dict(),
+        "policy": policy.snapshot() if policy is not None else None,
+    })
+
+
+def static_digests(case: str) -> dict[str, str]:
+    """Per-system digests of one ``"<workload>/<predict>"`` case."""
+    workload_kind, predict = case.split("/")
+    exp = default_exp(TINY)
+    if workload_kind == "ycsb":
+        workload = ycsb_workload(TINY, exp, 0.9, seed=0)
+    else:
+        workload = tpcc_workload(TINY, exp, seed=0)
+    if predict == "on":
+        exp = exp.with_(predict=STATIC_PREDICT)
+    return {spec: _run_digest(run_system(workload, make_system(spec), exp))
+            for spec in STATIC_SPECS}
+
+
+@pytest.fixture(scope="module")
+def static_runs() -> dict:
+    root = Path(__file__).resolve().parents[2]
+    script = ("import json; from tests.bench.test_regression_series import "
+              "GOLDEN_STATIC, static_digests; print(json.dumps("
+              "{c: static_digests(c) for c in GOLDEN_STATIC}))")
+    env = dict(os.environ, PYTHONHASHSEED=WORKER_HASH_SEED,
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STATIC))
+def test_static_path_golden(static_runs, case):
+    per_system = static_runs[case]
+    assert config_hash(per_system) == GOLDEN_STATIC[case], (
+        f"{case} drifted from its static-path golden digest; "
+        f"per-system digests: {per_system}"
     )

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.bench.runner import engine_of, run_system, system_name
+from repro.bench.runner import (
+    as_tskd,
+    engine_of,
+    policy_of,
+    run_system,
+    system_name,
+)
+from repro.common.config import PredictConfig
 from repro.core.tskd import TSKD
+from repro.txn.workload import Workload
 from repro.partition import HorticulturePartitioner, StrifePartitioner
 from repro.sim import assert_serializable
 
@@ -13,6 +21,34 @@ class TestSystemNames:
         assert system_name("dbcc") == "DBCC"
         assert system_name(TSKD.instance("S")) == "TSKD[S]"
         assert system_name(StrifePartitioner()) == "Strife"
+
+
+class TestAsTskd:
+    def test_dbcc_is_tskd_with_both_modules_off(self):
+        tskd = as_tskd("dbcc")
+        assert tskd.partitioner is None
+        assert not tskd.use_tspar
+        assert not tskd.tsdefer_config.enabled
+
+    def test_partitioner_is_tskd_with_both_modules_off(self):
+        strife = StrifePartitioner()
+        tskd = as_tskd(strife)
+        assert tskd.partitioner is strife
+        assert not tskd.use_tspar
+        assert not tskd.tsdefer_config.enabled
+
+    def test_tskd_passes_through(self):
+        tskd = TSKD.instance("S")
+        assert as_tskd(tskd) is tskd
+
+    def test_unknown_string(self):
+        with pytest.raises(ValueError):
+            as_tskd("mystery")
+
+    def test_result_keeps_the_original_name(self, small_ycsb, small_exp):
+        assert run_system(small_ycsb, "dbcc", small_exp).name == "DBCC"
+        assert run_system(small_ycsb, StrifePartitioner(),
+                          small_exp).name == "Strife"
 
 
 class TestRunSystem:
@@ -63,6 +99,19 @@ class TestRunSystem:
         assert (r1.makespan_cycles != r2.makespan_cycles
                 or r1.retries != r2.retries
                 or r1.deferrals != r2.deferrals)
+
+
+    @pytest.mark.parametrize("predict", [None, PredictConfig(epoch_txns=10)])
+    def test_empty_bundle_reads_zero(self, small_exp, predict):
+        r = run_system(Workload([], name="empty"), TSKD.instance("0"),
+                       small_exp.with_(predict=predict))
+        assert (r.committed, r.makespan_cycles, r.retries) == (0, 0, 0)
+        assert r.thread_busy_cycles == (0,) * small_exp.sim.num_threads
+        assert r.scheduled_pct == 1.0 and r.queue_retries == 0
+        # Cut into epochs, the empty bundle has none to close.
+        assert (policy_of(r) is None) == (predict is None)
+        if predict is not None:
+            assert policy_of(r).epoch == 0
 
 
 class TestHistoryPlumbing:

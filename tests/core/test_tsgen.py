@@ -47,7 +47,7 @@ def ycsb_setup():
     graph = w.conflict_graph()
     from repro.partition import StrifePartitioner
 
-    plan = StrifePartitioner().partition(w, 6, graph=graph, rng=Rng(0))
+    plan = StrifePartitioner().partition(w, 6, rng=Rng(0))
     return w, graph, plan
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.common.config import TSDEFER_DISABLED, TsDeferConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import Rng
-from repro.core.tskd import TSKD, tskd_disabled_variant
+from repro.core.tskd import TSKD, execute_phases, tskd_disabled_variant
+from repro.sim import make_engine
 from repro.sim.warmup import warm_up_history
 from repro.common.config import SimConfig, YcsbConfig
 from repro.bench.workloads import YcsbGenerator
@@ -77,6 +78,19 @@ class TestPrepare:
         tskd = TSKD(partitioner="strife", residual_assign="component")
         plan = tskd.prepare(workload, 4, cost, rng=Rng(1))
         assert plan.total_transactions() == len(workload)
+
+
+class TestExecutePhases:
+    def test_phases_run_back_to_back(self, workload, cost):
+        plan = TSKD.instance("S").prepare(workload, 4, cost, rng=Rng(1))
+        engine = make_engine(SimConfig(num_threads=4))
+        results = execute_phases(engine, plan.phases, start_time=7)
+        assert len(results) == plan.num_phases
+        assert results[0].start_time == 7
+        for prev, nxt in zip(results, results[1:]):
+            assert nxt.start_time == prev.end_time
+        assert (sum(r.counters.committed for r in results)
+                == len(workload))
 
 
 class TestFilters:

@@ -38,7 +38,7 @@ class TestScheduleBuilding:
         preserve its partitions untouched (minus range demotion)."""
         graph = workload.conflict_graph()
         strife = StrifePartitioner()
-        raw = strife.partition(workload, 4, graph=graph, rng=Rng(2))
+        raw = strife.partition(workload, 4, rng=Rng(2))
         tspar = TsPar(partitioner=StrifePartitioner())
         plan = tspar.make_plan(workload, 4, OpCountCostModel(), graph, Rng(2))
         assert [len(p) for p in plan.parts] == [len(p) for p in raw.parts]

@@ -91,8 +91,7 @@ class TestSchism:
         from repro.partition.base import PartitionPlan
 
         rr = PartitionPlan(parts=round_robin(list(contended_ycsb), 8))
-        schism = SchismPartitioner().partition(contended_ycsb, 8, graph=graph,
-                                               rng=Rng(1))
+        schism = SchismPartitioner().partition(contended_ycsb, 8, rng=Rng(1))
         assert schism.cross_conflicts(graph) <= rr.cross_conflicts(graph)
 
     def test_not_declared_conflict_free(self):

@@ -6,7 +6,14 @@ from repro import make_transaction, read, write
 from repro.common.config import PredictConfig, TsDeferConfig
 from repro.common.rng import Rng
 from repro.core.tsdefer import TsDefer
-from repro.predict.policy import RETUNE_TAIL, OnlinePolicy, make_policy
+from repro.core.tskd import TSKD
+from repro.predict.policy import (
+    RETUNE_TAIL,
+    HookFanout,
+    OnlinePolicy,
+    fan_out,
+    make_policy,
+)
 
 
 def _writer(tid, key):
@@ -198,3 +205,44 @@ class TestSnapshotAndFactory:
         assert make_policy(None, seed=0) is None
         assert make_policy(PredictConfig(enabled=False), seed=0) is None
         assert isinstance(make_policy(PredictConfig(), seed=0), OnlinePolicy)
+
+
+class TestWiring:
+    def test_fan_out_wraps_only_several_hooks(self):
+        a, b = _policy(), _policy()
+        assert fan_out() is None
+        assert fan_out(None, None) is None
+        assert fan_out(None, a) is a
+        both = fan_out(a, None, b)
+        assert isinstance(both, HookFanout)
+        assert both.hooks == [a, b]
+
+    def test_install_steers_and_retunes(self):
+        p = _policy()
+        tskd = TSKD.instance("0")
+        tsdefer = TsDefer(TsDeferConfig(), 4, Rng(1))
+        p.install(tskd, tsdefer)
+        assert tskd.tspar.tsgen_kwargs["heat"] is p
+        assert tsdefer.heat is p
+        p.uninstall(tskd)
+        assert "heat" not in tskd.tspar.tsgen_kwargs
+
+    def test_install_respects_switches(self):
+        p = _policy(steer=False, retune=False)
+        tskd = TSKD.instance("0")
+        tsdefer = TsDefer(TsDeferConfig(), 4, Rng(1))
+        p.install(tskd, tsdefer)
+        assert "heat" not in tskd.tspar.tsgen_kwargs
+        assert tsdefer.heat is None
+
+    def test_no_steering_without_tspar(self):
+        p = _policy()
+        tskd = TSKD.instance("CC")
+        p.install(tskd, None)
+        assert "heat" not in tskd.tspar.tsgen_kwargs
+
+    def test_uninstall_leaves_other_heat_alone(self):
+        other = _policy()
+        tskd = TSKD.instance("0", tsgen_kwargs={"heat": other})
+        _policy().uninstall(tskd)
+        assert tskd.tspar.tsgen_kwargs["heat"] is other
