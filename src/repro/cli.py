@@ -484,7 +484,6 @@ def _build_serve_config(args) -> ServeConfig:
             queue_limit=args.queue_limit,
             retry_after_ms=args.retry_after_ms,
             assignment=args.assignment,
-            pipeline_depth=args.pipeline_depth,
             record_epoch_tids=args.record_epoch_tids,
             shards=args.shards,
         )
@@ -496,20 +495,14 @@ async def _serve_main(serve_cfg: ServeConfig, exp: ExperimentConfig,
                       args) -> int:
     import signal
 
-    from .serve import ClusterServer, ServeServer
+    from .serve import ServeServer
 
-    if serve_cfg.shards > 1:
-        try:
-            server = ClusterServer(serve_cfg, exp,
-                                   export_path=args.export_json,
-                                   exit_on_drain=args.exit_on_drain,
-                                   trace_path=args.trace)
-        except ConfigError as e:
-            raise SystemExit(str(e))
-    else:
+    try:
         server = ServeServer(serve_cfg, exp, export_path=args.export_json,
                              exit_on_drain=args.exit_on_drain,
                              trace_path=args.trace)
+    except ConfigError as e:
+        raise SystemExit(str(e))
     await server.start()
     topology = (f", {serve_cfg.shards} shards" if serve_cfg.shards > 1 else "")
     print(f"serving {serve_cfg.system} on {serve_cfg.host}:{server.port}  "
@@ -733,8 +726,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_srv.add_argument("--assignment", choices=SERVE_ASSIGNMENTS,
                        default="round_robin",
                        help="how CC-executed buffers are dealt to threads")
-    p_srv.add_argument("--pipeline-depth", type=int, default=1,
-                       help="scheduled epochs held ahead of execution")
     p_srv.add_argument("--record-epoch-tids", action="store_true",
                        help="record per-epoch transaction ids in the "
                             "drain artifact (batch replay)")

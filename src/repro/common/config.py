@@ -353,20 +353,16 @@ class ServeConfig:
     #: "round_robin" (the engine default) or "least_loaded" (admission
     #: balances buffers by estimated cost; repro.sim.stream).
     assignment: str = "round_robin"
-    #: Scheduled-but-not-yet-executed epochs the pipeline may hold; 1
-    #: gives exactly one epoch of lookahead (schedule N+1 during
-    #: execute N), more deepens the pipeline without reordering it.
-    pipeline_depth: int = 1
     #: Record each epoch's transaction ids in the drain artifact so a
     #: batch run can replay the exact epoch composition.
     record_epoch_tids: bool = False
-    #: Engine shards serving the key space.  1 keeps the single-engine
-    #: :class:`~repro.serve.server.ServeServer`; N > 1 runs the sharded
-    #: cluster (:mod:`repro.serve.cluster`): each shard owns a hash
-    #: partition of the affinity-group space and runs the TSKD pipeline
-    #: against its own persistent database, with cross-shard
+    #: Engine shards serving the key space
+    #: (:class:`~repro.serve.server.ServeServer`): each shard owns a
+    #: hash partition of the affinity-group space and runs the TSKD
+    #: pipeline against its own persistent database, with cross-shard
     #: transactions committed through epoch-aligned deterministic order
-    #: agreement (see docs/sharding.md).
+    #: agreement (see docs/sharding.md).  1 is the single-engine server,
+    #: its shard in-process; N > 1 runs one worker process per shard.
     shards: int = 1
 
     def __post_init__(self):
@@ -384,8 +380,6 @@ class ServeConfig:
             raise ConfigError(
                 f"unknown assignment {self.assignment!r}; "
                 f"choose from {SERVE_ASSIGNMENTS}")
-        if self.pipeline_depth < 1:
-            raise ConfigError("pipeline_depth must be >= 1")
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
 

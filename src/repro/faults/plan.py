@@ -103,7 +103,7 @@ class FaultSpec:
 class ShardFailStop:
     """Fail-stop one serving-cluster shard worker mid-run.
 
-    A process-level fault for :mod:`repro.serve.cluster`: the worker for
+    A process-level fault for :mod:`repro.serve.server`: the worker for
     ``shard`` hard-exits (``os._exit``) upon receiving its
     ``after_epochs``-th epoch, before executing it.  Unlike the
     engine-level ``crash`` kind above (a simulated thread dying inside

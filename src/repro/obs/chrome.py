@@ -157,8 +157,7 @@ def chrome_from_serve_epochs(epochs: Sequence[dict]) -> list[dict]:
     """Render a serve artifact's epoch spans as pipeline-stage tracks.
 
     Wall seconds become microseconds relative to the first epoch's
-    ``opened_at``; the sched and exec stages get one track each, so the
-    schedule(N+1)-overlaps-execute(N) conveyor is directly visible.
+    ``opened_at``; the sched and exec stages get one track each.
     """
     if not epochs:
         return []

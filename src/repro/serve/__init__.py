@@ -4,35 +4,32 @@ A TCP front door over the TSKD pipeline: clients submit transactions
 over ``repro.wire/1`` (newline-delimited JSON), the server admits them
 through a bounded queue with explicit backpressure, closes *epochs* by
 size or deadline, and runs each epoch through partitioner → TSgen →
-TsDEFER → engine against one persistent store.  Scheduling of epoch
-N+1 overlaps execution of epoch N (see :mod:`repro.serve.pipeline`),
-and every run is replayable batch-side via
+TsDEFER → engine against a persistent store, schedule then execute.
+Every run is replayable batch-side via
 :func:`~repro.serve.pipeline.replay_epochs`.
 
-With ``--shards N`` the same front door fans execution out over N
-engine shards, each owning a hash partition of the key space in its own
-worker process; cross-shard transactions commit in an epoch-aligned
-deterministic order with no 2PC (see docs/sharding.md and
-:mod:`repro.serve.cluster`).
+The store is split into ``--shards N`` engine shards, each owning a hash
+partition of the key space; one shard runs in-process, N > 1 each in
+its own worker process.  Cross-shard transactions commit in an
+epoch-aligned deterministic order with no 2PC (see docs/sharding.md and
+:mod:`repro.serve.coordinator`).
 
 Layout:
 
 * :mod:`repro.serve.protocol` — the wire codec (frames, txn encoding);
 * :mod:`repro.serve.batcher`  — size/deadline epoch closing;
-* :mod:`repro.serve.pipeline` — deterministic executor + async overlap;
-* :mod:`repro.serve.server`   — the asyncio TCP server and admission;
+* :mod:`repro.serve.pipeline` — the deterministic epoch executor;
+* :mod:`repro.serve.server`   — the asyncio TCP server, admission, dispatch;
 * :mod:`repro.serve.router`   — key partitioning + txn classification;
 * :mod:`repro.serve.shard`    — per-shard engine workers (process/inline);
-* :mod:`repro.serve.coordinator` — agreed-order cross-shard commit;
-* :mod:`repro.serve.cluster`  — the sharded server + cluster replay;
+* :mod:`repro.serve.coordinator` — agreed-order cross-shard commit + replay;
 * :mod:`repro.serve.loadgen`  — seeded open/closed-loop client driver.
 
 See docs/serving.md for the protocol and epoch lifecycle.
 """
 
 from .batcher import CLOSE_DEADLINE, CLOSE_DRAIN, CLOSE_SIZE, Epoch, EpochBatcher, Submission
-from .cluster import ClusterServer, replay_cluster
-from .coordinator import agreed_order, shard_slice, slice_epoch
+from .coordinator import agreed_order, replay_cluster, shard_slice, slice_epoch
 from .loadgen import (
     LoadgenReport,
     TxnRecord,
@@ -44,7 +41,6 @@ from .pipeline import (
     SERVABLE_SYSTEMS,
     EpochExecutor,
     EpochOutcome,
-    EpochPipeline,
     EpochSpan,
     TxnOutcome,
     make_servable_system,
@@ -76,12 +72,10 @@ __all__ = [
     "CLOSE_DEADLINE",
     "CLOSE_DRAIN",
     "CLOSE_SIZE",
-    "ClusterServer",
     "Epoch",
     "EpochBatcher",
     "EpochExecutor",
     "EpochOutcome",
-    "EpochPipeline",
     "EpochSpan",
     "InlineShard",
     "LoadgenReport",

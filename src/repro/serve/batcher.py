@@ -10,19 +10,17 @@ the *current* epoch and closes it when either bound trips:
   first admission (an epoch's clock starts at its first transaction, so
   an idle server never spins closing empty epochs).
 
-Closed epochs queue up for the scheduling pipeline in admission order;
-``flush`` closes a partial epoch early (drain path) and ``shutdown``
-additionally wakes the consumer with an end-of-stream sentinel.
+Every closed epoch goes to ``sink``, a queue the server's dispatcher
+consumes; ``flush`` closes a partial epoch early (drain path) and
+``shutdown`` additionally puts an end-of-stream ``None`` on the sink.
 
-The sharded cluster (:mod:`repro.serve.cluster`) runs one batcher per
-shard plus one for cross-shard traffic.  Two hooks exist for that
-topology: ``id_source`` draws epoch ids from a shared monotone counter
-(so ids are globally unique and ordered by close time across all
-batchers), and ``sink`` redirects closed epochs into a shared queue the
-cluster dispatcher consumes in close order.  Deadline timers stay
-strictly per-batcher and generation-counted: an idle shard's batcher
-never arms a timer, and one batcher's deadline can never close another
-batcher's epoch.
+The server (:mod:`repro.serve.server`) runs one batcher per shard plus
+one for cross-shard traffic, all sharing one sink and one ``id_source``:
+a monotone counter, so epoch ids are globally unique and ordered by
+close time across all batchers.  Deadline timers stay strictly
+per-batcher and generation-counted: an idle shard's batcher never arms
+a timer, and one batcher's deadline can never close another batcher's
+epoch.
 """
 
 from __future__ import annotations
@@ -65,11 +63,6 @@ class Epoch:
     opened_at: float
     closed_at: float
     reason: str
-    #: Stamped by the pipeline as the epoch moves through its stages.
-    sched_start: float = 0.0
-    sched_end: float = 0.0
-    exec_start: float = 0.0
-    exec_end: float = 0.0
     meta: dict = field(default_factory=dict)
 
     @property
@@ -87,10 +80,10 @@ class EpochBatcher:
         self,
         max_txns: int,
         max_ms: float,
-        clock: Callable[[], float] = time.monotonic,
-        id_source: Optional[Callable[[], int]] = None,
-        sink: Optional[asyncio.Queue] = None,
+        sink: asyncio.Queue,
+        id_source: Callable[[], int],
         meta: Optional[dict] = None,
+        clock: Callable[[], float] = time.monotonic,
     ):
         if max_txns <= 0:
             raise ValueError(f"max_txns must be positive, got {max_txns}")
@@ -99,19 +92,13 @@ class EpochBatcher:
         self.max_txns = max_txns
         self.max_ms = max_ms
         self._clock = clock
-        #: Where each closed epoch's id comes from: a shared cluster-wide
-        #: counter, or (default) this batcher's own local sequence.
         self._id_source = id_source
-        self._local_next = 0
-        #: Closed epochs land here; ``sink`` redirects them to a shared
-        #: queue (the cluster dispatcher), own queue otherwise.
         self._sink = sink
         #: Copied into every closed epoch's ``meta`` so a shared-sink
         #: consumer can tell which batcher (shard) it came from.
         self._meta = dict(meta) if meta else {}
         self._current: list[Submission] = []
         self._opened_at = 0.0
-        self._epochs: asyncio.Queue = asyncio.Queue()
         self._closed = 0
         #: Bumps on every close so a stale deadline timer can recognise
         #: that "its" epoch is already gone.
@@ -164,17 +151,7 @@ class EpochBatcher:
             self._timer.cancel()
             self._timer = None
         self._shut = True
-        (self._sink if self._sink is not None else self._epochs).put_nowait(None)
-
-    # -- consumer side ---------------------------------------------------
-    async def next_epoch(self) -> Optional[Epoch]:
-        """The next closed epoch, or None once shut down and empty."""
-        epoch = await self._epochs.get()
-        if epoch is None:
-            # Propagate the sentinel to any other waiter.
-            self._epochs.put_nowait(None)
-            return None
-        return epoch
+        self._sink.put_nowait(None)
 
     # -- internals -------------------------------------------------------
     def _arm_deadline(self) -> None:
@@ -194,13 +171,8 @@ class EpochBatcher:
             self._timer.cancel()
             self._timer = None
         self._generation += 1
-        if self._id_source is not None:
-            epoch_id = self._id_source()
-        else:
-            epoch_id = self._local_next
-            self._local_next += 1
         epoch = Epoch(
-            epoch_id=epoch_id,
+            epoch_id=self._id_source(),
             subs=self._current,
             opened_at=self._opened_at,
             closed_at=self._clock(),
@@ -210,4 +182,4 @@ class EpochBatcher:
         self._closed += 1
         self._current = []
         self.closed_by_reason[reason] = self.closed_by_reason.get(reason, 0) + 1
-        (self._sink if self._sink is not None else self._epochs).put_nowait(epoch)
+        self._sink.put_nowait(epoch)

@@ -12,8 +12,9 @@ database move (the ForeSight direction in PAPERS.md): agree on the
 order first, then execution needs no coordination at all beyond the
 epoch barrier itself.
 
-The functions here are deliberately pure (no I/O, no clocks) so the
-live cluster and the replay harness call the exact same code.
+The ordering functions here are deliberately pure (no I/O, no clocks),
+so the live server and the replay harness (:func:`replay_cluster`) call
+the exact same code.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
+from ..common.config import ExperimentConfig, ServeConfig
 from ..common.rng import Rng
 from ..txn.operation import OpKind
 from ..txn.transaction import Transaction
+from .pipeline import EpochExecutor
 from .router import ShardRouter
 
 #: Salt under the epoch fork reserved for the commit-order draw, so the
@@ -90,3 +93,45 @@ def slice_epoch(
             if sliced is not None:
                 slices[shard].append(sliced)
     return slices
+
+
+def replay_cluster(
+    serve: ServeConfig,
+    exp: ExperimentConfig,
+    records: Sequence[tuple],
+    transactions: Sequence,
+) -> tuple[dict[int, EpochExecutor], dict]:
+    """Re-run a cluster session's recorded epochs, batch style.
+
+    ``records`` are ``(epoch_id, shard | None, cross, tids)`` tuples as
+    collected by a ``record_epoch_tids`` server (``epoch_records``);
+    ``transactions`` must cover every recorded tid.  Epochs are applied
+    in id order — exactly the order each shard consumed them live — so
+    the resulting per-shard executors finish bit-identical to the live
+    shards: same commits, same database state, same clock cursors.
+    """
+    router = ShardRouter(serve.shards)
+    executors = {
+        s: EpochExecutor(serve, exp) for s in range(serve.shards)
+    }
+    txn_of = {t.tid: t for t in transactions}
+    for epoch_id, shard_id, cross, tids in sorted(records):
+        txns = [txn_of[tid] for tid in tids]
+        if cross:
+            ordered = agreed_order(txns, exp.seed, epoch_id)
+            decisions = {t.tid: router.classify(t) for t in txns}
+            homes = {tid: d.home for tid, d in decisions.items()}
+            participants = sorted(
+                {s for d in decisions.values() for s in d.shards}
+            )
+            slices = slice_epoch(ordered, participants, homes, router)
+            for s in participants:
+                if slices[s]:
+                    executors[s].execute_serial(slices[s], epoch_id)
+        else:
+            plan = executors[shard_id].schedule(txns, epoch_id)
+            executors[shard_id].execute(plan, epoch_id)
+    merged: dict = {}
+    for executor in executors.values():
+        merged.update(executor.database_state())
+    return executors, merged

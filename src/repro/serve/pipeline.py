@@ -1,36 +1,22 @@
-"""Epoch scheduling/execution pipeline behind the serving front door.
+"""The deterministic epoch executor behind every serving shard.
 
-Two layers:
-
-* :class:`EpochExecutor` — synchronous and deterministic.  Owns the
-  long-lived state of a running service: one TSKD instance, one
-  persistent :class:`~repro.storage.database.Database`, one engine whose
-  virtual clock, version store, and TsDEFER filter carry across epochs,
-  and one history cost model fed by noise-free dry-run costs.  Given the
-  same epoch compositions it produces bit-identical schedules and final
-  database state no matter how the wall clock sliced the input — this is
-  what the batch-equivalence test in ``tests/serve`` leans on, via
-  :func:`replay_epochs`.
-
-* :class:`EpochPipeline` — the asyncio conveyor that overlaps stages:
-  while epoch *N* executes in one worker thread, epoch *N+1* is being
-  scheduled in another (the classic batch-scheduler trick of hiding
-  scheduling latency behind execution).  Determinism survives the
-  overlap because the two stages touch disjoint state: scheduling reads
-  and writes {cost model, TsPAR, per-epoch RNG}; execution reads and
-  writes {engine, database, TsDEFER, virtual-clock cursor}.  Epochs flow
-  through each stage strictly in epoch-id order, and the cost model is
-  fed dry-run estimates (not measured runtimes), so schedule(N+1) never
-  depends on execute(N).
+:class:`EpochExecutor` is synchronous and deterministic.  It owns the
+long-lived state of one shard of a running service: one TSKD instance,
+one persistent :class:`~repro.storage.database.Database`, one engine
+whose virtual clock, version store, and TsDEFER filter carry across
+epochs, and one history cost model fed by noise-free dry-run costs.
+Given the same epoch compositions it produces bit-identical schedules
+and final database state no matter how the wall clock sliced the input
+— this is what the batch-equivalence tests in ``tests/serve`` lean on,
+via :func:`replay_epochs`.  A shard (:mod:`repro.serve.shard`) runs
+:meth:`EpochExecutor.schedule` then :meth:`EpochExecutor.execute` on
+one thread, one epoch at a time, in epoch-id order.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..common.config import ExperimentConfig, ServeConfig
 from ..common.rng import Rng
@@ -43,7 +29,6 @@ from ..sim.warmup import dry_run_cost
 from ..txn.cost import HistoryCostModel, OpCountCostModel
 from ..txn.transaction import Transaction
 from ..txn.workload import Workload
-from .batcher import Epoch, EpochBatcher
 
 #: Systems a serving executor accepts: TSKD instances with CC-backed
 #: queue execution, or plain dbcc as the no-scheduling baseline.  Bare
@@ -350,7 +335,12 @@ def replay_epochs(
 
 @dataclass
 class EpochSpan:
-    """Wall-clock trace of one epoch's trip through the pipeline."""
+    """Wall-clock trace of one epoch's trip through the server.
+
+    The schedule and execute windows are what the shard measured around
+    the two calls (``ShardEpochResult``); for a cross-shard epoch they
+    span all of its slices.
+    """
 
     epoch_id: int
     size: int
@@ -365,6 +355,9 @@ class EpochSpan:
     end_cycles: int
     committed: int
     aborts: int
+    #: Executing shard, or -1 for a cross-shard epoch.
+    shard: int
+    cross: bool
     tids: Optional[list[int]] = None
 
     def to_dict(self) -> dict:
@@ -382,6 +375,8 @@ class EpochSpan:
             "end_cycles": self.end_cycles,
             "committed": self.committed,
             "aborts": self.aborts,
+            "shard": self.shard,
+            "cross": self.cross,
         }
         if self.tids is not None:
             doc["tids"] = self.tids
@@ -399,154 +394,9 @@ class TxnOutcome:
     schedule_s: float
     execute_s: float
     #: "committed", or "rejected" when the owning shard died before the
-    #: epoch executed (cluster fail-stop path; see repro.serve.cluster).
-    status: str = "committed"
-    #: Shard that executed the transaction; None on the single-engine path.
-    shard: Optional[int] = None
+    #: epoch executed (fail-stop path; see repro.serve.server).
+    status: str
+    #: The transaction's home shard.
+    shard: int
     #: True when the transaction spanned shards (epoch-aligned commit).
-    cross_shard: Optional[bool] = None
-
-
-class EpochPipeline:
-    """Two-stage async conveyor: schedule(N+1) overlaps execute(N)."""
-
-    def __init__(
-        self,
-        executor: EpochExecutor,
-        batcher: EpochBatcher,
-        pipeline_depth: int = 1,
-        on_epoch: Optional[Callable[[Epoch, EpochOutcome, EpochSpan], None]] = None,
-        record_tids: bool = False,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if pipeline_depth < 1:
-            raise ValueError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
-        self.executor = executor
-        self.batcher = batcher
-        self.on_epoch = on_epoch
-        self.record_tids = record_tids
-        self._clock = clock
-        self._staged: asyncio.Queue = asyncio.Queue(maxsize=pipeline_depth)
-        self._sched_pool = ThreadPoolExecutor(1, thread_name_prefix="serve-sched")
-        self._exec_pool = ThreadPoolExecutor(1, thread_name_prefix="serve-exec")
-        self.spans: list[EpochSpan] = []
-        #: Epochs admitted to a stage but not yet finished executing.
-        self.in_flight = 0
-        self.pipeline_depth = pipeline_depth
-
-    @property
-    def staged(self) -> int:
-        """Scheduled epochs waiting for the execute stage."""
-        return self._staged.qsize()
-
-    async def run(self) -> None:
-        """Consume the batcher until shutdown; returns once drained.
-
-        Static servers overlap the stages; adaptive servers (executor has
-        a :class:`~repro.predict.policy.OnlinePolicy`) run a serial
-        schedule→execute loop instead — prediction feeds the sketch on
-        commit and reads it while scheduling, so the stages no longer
-        touch disjoint state and overlap would make schedules depend on
-        thread timing.  Serialising keeps the live server bit-identical
-        to :func:`replay_epochs`, at the cost of the scheduling-latency
-        overlap (docs/adaptive.md quantifies it).
-        """
-        try:
-            if self.executor.policy is not None:
-                await self._serial_loop()
-            else:
-                await asyncio.gather(self._schedule_loop(), self._execute_loop())
-        finally:
-            self._sched_pool.shutdown(wait=False)
-            self._exec_pool.shutdown(wait=False)
-
-    async def _serial_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            epoch = await self.batcher.next_epoch()
-            if epoch is None:
-                return
-            self.in_flight += 1
-            epoch.sched_start = self._clock()
-            plan = await loop.run_in_executor(
-                self._sched_pool,
-                self.executor.schedule,
-                epoch.transactions(),
-                epoch.epoch_id,
-            )
-            epoch.sched_end = self._clock()
-            epoch.exec_start = self._clock()
-            outcome = await loop.run_in_executor(
-                self._exec_pool, self.executor.execute, plan, epoch.epoch_id
-            )
-            epoch.exec_end = self._clock()
-            self.in_flight -= 1
-            self._finish(epoch, outcome)
-
-    async def _schedule_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            epoch = await self.batcher.next_epoch()
-            if epoch is None:
-                await self._staged.put(None)
-                return
-            self.in_flight += 1
-            epoch.sched_start = self._clock()
-            plan = await loop.run_in_executor(
-                self._sched_pool,
-                self.executor.schedule,
-                epoch.transactions(),
-                epoch.epoch_id,
-            )
-            epoch.sched_end = self._clock()
-            await self._staged.put((epoch, plan))
-
-    async def _execute_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await self._staged.get()
-            if item is None:
-                return
-            epoch, plan = item
-            epoch.exec_start = self._clock()
-            outcome = await loop.run_in_executor(
-                self._exec_pool, self.executor.execute, plan, epoch.epoch_id
-            )
-            epoch.exec_end = self._clock()
-            self.in_flight -= 1
-            self._finish(epoch, outcome)
-
-    def _finish(self, epoch: Epoch, outcome: EpochOutcome) -> None:
-        span = EpochSpan(
-            epoch_id=epoch.epoch_id,
-            size=epoch.size,
-            reason=epoch.reason,
-            opened_at=epoch.opened_at,
-            closed_at=epoch.closed_at,
-            sched_start=epoch.sched_start,
-            sched_end=epoch.sched_end,
-            exec_start=epoch.exec_start,
-            exec_end=epoch.exec_end,
-            start_cycles=outcome.start_cycles,
-            end_cycles=outcome.end_cycles,
-            committed=outcome.committed,
-            aborts=outcome.aborts,
-            tids=[s.tid for s in epoch.subs] if self.record_tids else None,
-        )
-        self.spans.append(span)
-        self._resolve(epoch, outcome)
-        if self.on_epoch is not None:
-            self.on_epoch(epoch, outcome, span)
-
-    def _resolve(self, epoch: Epoch, outcome: EpochOutcome) -> None:
-        for sub in epoch.subs:
-            if sub.future is None or sub.future.done():
-                continue
-            sub.future.set_result(TxnOutcome(
-                tid=sub.tid,
-                epoch_id=epoch.epoch_id,
-                attempts=outcome.attempts.get(sub.tid, 1),
-                queue_s=epoch.sched_start - sub.submitted_at,
-                schedule_s=epoch.sched_end - epoch.sched_start,
-                execute_s=epoch.exec_end - epoch.exec_start,
-            ))
+    cross_shard: bool

@@ -81,6 +81,10 @@ class RouteDecision:
     cross: bool
 
 
+#: The only route of an unsplit key space, decided without hashing.
+_ONE_SHARD = RouteDecision(shards=(0,), home=0, cross=False)
+
+
 class ShardRouter:
     """Total, collision-free map from keys to ``shards`` engine shards."""
 
@@ -98,6 +102,8 @@ class ShardRouter:
 
     def classify(self, txn: Transaction) -> RouteDecision:
         """Single-shard or cross-shard, from the txn's access sequence."""
+        if self.shards == 1:
+            return _ONE_SHARD  # shard_of_group(g, 1) is always 0
         owners: list[int] = []
         seen: set[int] = set()
         fallback: int | None = None

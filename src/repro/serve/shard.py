@@ -15,9 +15,12 @@ share the interface:
   of epochs never blocks the loop.
 
 * :class:`InlineShard` — the executor lives in-process behind a
-  one-thread pool.  Bit-identical outcomes (the TSKD pipeline is
-  hash-seed independent — the contract the parallel-bench differential
-  enforces), handy for tests and debugging without process spin-up.
+  one-thread pool: the single-engine server (``--shards 1``) and the
+  test seam for N shards without process spin-up.  Process shards run
+  under ``PYTHONHASHSEED=0``; inline shards follow the interpreter's
+  own hash seed, and partitioner tie-breaks follow the str hash seed
+  (ROADMAP item 6), so the two kinds agree bit for bit only when the
+  parent also runs with ``PYTHONHASHSEED=0``.
 
 Ordering contract (what determinism rests on): ``begin_epoch`` is
 synchronous and the channel is FIFO, so a shard receives — and executes,
@@ -37,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -68,6 +72,41 @@ class ShardEpochResult:
     start_cycles: int
     end_cycles: int
     aborts: int
+    #: ``time.monotonic()`` in the worker as scheduling began.  The
+    #: monotonic clock is host-wide, so the server can place the stages
+    #: on its own timeline.
+    started_at: float
+    #: Wall seconds of the schedule and execute calls, measured in the
+    #: worker around each (schedule is 0 for a cross-shard slice).
+    schedule_s: float
+    execute_s: float
+
+
+def run_epoch(
+    executor: EpochExecutor,
+    epoch_id: int,
+    txns: Sequence[Transaction],
+    cross: bool,
+) -> ShardEpochResult:
+    """Schedule then execute one epoch (or run one cross slice serially)."""
+    t0 = time.monotonic()
+    if cross:
+        t1 = t0
+        outcome = executor.execute_serial(txns, epoch_id)
+    else:
+        plan = executor.schedule(txns, epoch_id)
+        t1 = time.monotonic()
+        outcome = executor.execute(plan, epoch_id)
+    return ShardEpochResult(
+        epoch_id=epoch_id,
+        attempts=outcome.attempts,
+        start_cycles=outcome.start_cycles,
+        end_cycles=outcome.end_cycles,
+        aborts=outcome.aborts,
+        started_at=t0,
+        schedule_s=t1 - t0,
+        execute_s=time.monotonic() - t1,
+    )
 
 
 def _shard_worker_main(
@@ -94,21 +133,8 @@ def _shard_worker_main(
                 # it. os._exit skips atexit/flush like a real crash.
                 os._exit(1)
             _, epoch_id, txns = msg
-            if kind == _MSG_EPOCH:
-                plan = executor.schedule(txns, epoch_id)
-                outcome = executor.execute(plan, epoch_id)
-            else:
-                outcome = executor.execute_serial(txns, epoch_id)
-            conn.send((
-                "epoch_done",
-                ShardEpochResult(
-                    epoch_id=epoch_id,
-                    attempts=outcome.attempts,
-                    start_cycles=outcome.start_cycles,
-                    end_cycles=outcome.end_cycles,
-                    aborts=outcome.aborts,
-                ),
-            ))
+            conn.send(("epoch_done", run_epoch(
+                executor, epoch_id, txns, cross=kind == _MSG_CROSS)))
         elif kind == _MSG_STATE:
             conn.send(("state", executor.database_state()))
         elif kind == _MSG_STOP:
@@ -287,10 +313,9 @@ class InlineShard:
         serve: ServeConfig,
         exp: ExperimentConfig,
         fail_after_epochs: Optional[int] = None,
+        tracer=None,
     ):
         self.shard_id = shard_id
-        self.serve = serve
-        self.exp = exp
         self.fail_after_epochs = fail_after_epochs
         self.alive = False
         self.epochs_begun = 0
@@ -298,14 +323,14 @@ class InlineShard:
         self.committed = 0
         self.aborts = 0
         self.end_cycles = 0
-        self._executor: Optional[EpochExecutor] = None
+        #: Built up front so its adaptive policy can serve admission.
+        self.executor = EpochExecutor(serve, exp, tracer=tracer)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._received = 0
 
     def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._executor = EpochExecutor(self.serve, self.exp)
         self._pool = ThreadPoolExecutor(
             1, thread_name_prefix=f"shard{self.shard_id}"
         )
@@ -331,21 +356,6 @@ class InlineShard:
             ))
             return fut
         self.epochs_begun += 1
-        batch = list(txns)
-
-        def run() -> ShardEpochResult:
-            if cross:
-                outcome = self._executor.execute_serial(batch, epoch_id)
-            else:
-                plan = self._executor.schedule(batch, epoch_id)
-                outcome = self._executor.execute(plan, epoch_id)
-            return ShardEpochResult(
-                epoch_id=epoch_id,
-                attempts=outcome.attempts,
-                start_cycles=outcome.start_cycles,
-                end_cycles=outcome.end_cycles,
-                aborts=outcome.aborts,
-            )
 
         def done(inner):
             try:
@@ -361,7 +371,8 @@ class InlineShard:
             if not fut.done():
                 fut.set_result(result)
 
-        inner = self._pool.submit(run)
+        inner = self._pool.submit(
+            run_epoch, self.executor, epoch_id, list(txns), cross)
         inner.add_done_callback(
             lambda f: self._loop.call_soon_threadsafe(done, f)
         )
@@ -371,7 +382,7 @@ class InlineShard:
         if not self.alive:
             raise ShardDeadError(f"shard {self.shard_id} is dead")
         return await self._loop.run_in_executor(
-            self._pool, self._executor.database_state
+            self._pool, self.executor.database_state
         )
 
     async def stop(self) -> None:

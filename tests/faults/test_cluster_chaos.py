@@ -31,7 +31,7 @@ from repro.faults import ShardFailStop
 from repro.obs import validate_serve_artifact
 from repro.serve import (
     STATUS_COMMITTED,
-    ClusterServer,
+    ServeServer,
     ShardRouter,
     run_loadgen,
 )
@@ -69,7 +69,7 @@ def split_by_fate(txns, dead=DEAD, shards=3):
 
 
 async def run_chaos(shard_mode, txns, after_epochs=1):
-    server = ClusterServer(
+    server = ServeServer(
         chaos_cfg(), EXP, shard_mode=shard_mode,
         shard_faults=[ShardFailStop(shard=DEAD, after_epochs=after_epochs)],
     )
@@ -142,7 +142,7 @@ class TestInlineChaos:
             # transaction each, so the shard's epoch sequence is its
             # request sequence and the casualty boundary is exact.
             txns = make_single_shard_txns(36, shards=3)
-            server = ClusterServer(
+            server = ServeServer(
                 chaos_cfg(epoch_max_ms=5.0), EXP, shard_mode="inline",
                 shard_faults=[ShardFailStop(shard=DEAD, after_epochs=2)],
             )

@@ -146,7 +146,7 @@ class TestMerge:
 
 
 class TestCrossProcessStability:
-    """The per-shard sketches in serve/cluster.py are merged at epoch
+    """The per-shard sketches in serve/server.py are merged at epoch
     boundaries; that is only meaningful if every process computes the
     same row indices for the same key.  Pin the estimates against a
     subprocess under two different PYTHONHASHSEEDs."""

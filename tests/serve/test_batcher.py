@@ -20,14 +20,23 @@ def sub(i):
                       submitted_at=0.0)
 
 
+def make_batcher(max_txns, max_ms):
+    """One batcher with its own sink and its own id counter from 0."""
+    sink = asyncio.Queue()
+    counter = iter(range(10_000))
+    batcher = EpochBatcher(max_txns, max_ms, sink=sink,
+                           id_source=lambda: next(counter))
+    return sink, batcher
+
+
 class TestSizeClose:
     def test_closes_at_max_txns(self):
         async def run():
-            batcher = EpochBatcher(max_txns=3, max_ms=10_000.0)
+            sink, batcher = make_batcher(max_txns=3, max_ms=10_000.0)
             for i in range(7):
                 batcher.put(sub(i))
-            e0 = await batcher.next_epoch()
-            e1 = await batcher.next_epoch()
+            e0 = await sink.get()
+            e1 = await sink.get()
             assert (e0.epoch_id, e0.size, e0.reason) == (0, 3, CLOSE_SIZE)
             assert (e1.epoch_id, e1.size, e1.reason) == (1, 3, CLOSE_SIZE)
             assert batcher.pending == 1  # the seventh waits for more
@@ -35,10 +44,10 @@ class TestSizeClose:
 
     def test_epoch_ids_are_sequential(self):
         async def run():
-            batcher = EpochBatcher(max_txns=1, max_ms=10_000.0)
+            sink, batcher = make_batcher(max_txns=1, max_ms=10_000.0)
             for i in range(5):
                 batcher.put(sub(i))
-            ids = [(await batcher.next_epoch()).epoch_id for _ in range(5)]
+            ids = [(await sink.get()).epoch_id for _ in range(5)]
             assert ids == [0, 1, 2, 3, 4]
         asyncio.run(run())
 
@@ -46,34 +55,34 @@ class TestSizeClose:
 class TestDeadlineClose:
     def test_partial_epoch_closes_on_deadline(self):
         async def run():
-            batcher = EpochBatcher(max_txns=100, max_ms=20.0)
+            sink, batcher = make_batcher(max_txns=100, max_ms=20.0)
             batcher.put(sub(0))
             batcher.put(sub(1))
-            epoch = await asyncio.wait_for(batcher.next_epoch(), timeout=5.0)
+            epoch = await asyncio.wait_for(sink.get(), timeout=5.0)
             assert epoch.size == 2
             assert epoch.reason == CLOSE_DEADLINE
         asyncio.run(run())
 
     def test_stale_timer_does_not_close_next_epoch(self):
         async def run():
-            batcher = EpochBatcher(max_txns=2, max_ms=30.0)
+            sink, batcher = make_batcher(max_txns=2, max_ms=30.0)
             batcher.put(sub(0))
             batcher.put(sub(1))  # closes epoch 0 by size; timer now stale
-            epoch = await batcher.next_epoch()
+            epoch = await sink.get()
             assert epoch.reason == CLOSE_SIZE
             batcher.put(sub(2))  # opens epoch 1
             # Sleep past epoch 0's (cancelled/stale) deadline but short of
             # epoch 1's own: epoch 1 must still be open.
             await asyncio.sleep(0.01)
             assert batcher.pending == 1
-            epoch1 = await asyncio.wait_for(batcher.next_epoch(), timeout=5.0)
+            epoch1 = await asyncio.wait_for(sink.get(), timeout=5.0)
             assert epoch1.reason == CLOSE_DEADLINE
             assert epoch1.size == 1
         asyncio.run(run())
 
     def test_idle_batcher_closes_nothing(self):
         async def run():
-            batcher = EpochBatcher(max_txns=4, max_ms=5.0)
+            _, batcher = make_batcher(max_txns=4, max_ms=5.0)
             await asyncio.sleep(0.03)  # several deadline spans, no input
             assert batcher.epochs_closed == 0
         asyncio.run(run())
@@ -82,29 +91,30 @@ class TestDeadlineClose:
 class TestDrain:
     def test_flush_closes_partial_epoch(self):
         async def run():
-            batcher = EpochBatcher(max_txns=100, max_ms=10_000.0)
+            sink, batcher = make_batcher(max_txns=100, max_ms=10_000.0)
             batcher.put(sub(0))
             batcher.flush()
-            epoch = await batcher.next_epoch()
+            epoch = await sink.get()
             assert epoch.size == 1
             assert epoch.reason == CLOSE_DRAIN
         asyncio.run(run())
 
     def test_shutdown_flushes_then_signals_end(self):
         async def run():
-            batcher = EpochBatcher(max_txns=100, max_ms=10_000.0)
+            sink, batcher = make_batcher(max_txns=100, max_ms=10_000.0)
             batcher.put(sub(0))
             batcher.shutdown()
-            assert (await batcher.next_epoch()).size == 1
-            assert await batcher.next_epoch() is None
-            assert await batcher.next_epoch() is None  # sentinel persists
+            assert (await sink.get()).size == 1
+            assert await sink.get() is None
+            batcher.shutdown()  # idempotent: one end-of-stream only
+            assert sink.empty()
             with pytest.raises(RuntimeError):
                 batcher.put(sub(1))
         asyncio.run(run())
 
     def test_close_reasons_are_tallied(self):
         async def run():
-            batcher = EpochBatcher(max_txns=2, max_ms=10_000.0)
+            _, batcher = make_batcher(max_txns=2, max_ms=10_000.0)
             for i in range(4):
                 batcher.put(sub(i))
             batcher.put(sub(4))
@@ -116,9 +126,9 @@ class TestDrain:
 class TestValidation:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
-            EpochBatcher(max_txns=0, max_ms=10.0)
+            make_batcher(max_txns=0, max_ms=10.0)
         with pytest.raises(ValueError):
-            EpochBatcher(max_txns=1, max_ms=0.0)
+            make_batcher(max_txns=1, max_ms=0.0)
 
 
 class TestClusterTopology:
@@ -129,7 +139,7 @@ class TestClusterTopology:
         counter = iter(range(10_000))
         draw = lambda: next(counter)  # noqa: E731
         batchers = [
-            EpochBatcher(max_txns, max_ms, id_source=draw, sink=sink,
+            EpochBatcher(max_txns, max_ms, sink=sink, id_source=draw,
                          meta={"shard": s})
             for s in range(n)
         ]
@@ -208,12 +218,12 @@ class TestClusterTopology:
 
     def test_local_ids_stay_per_batcher_without_id_source(self):
         async def run():
-            a = EpochBatcher(max_txns=1, max_ms=10_000.0)
-            b = EpochBatcher(max_txns=1, max_ms=10_000.0)
+            sink_a, a = make_batcher(max_txns=1, max_ms=10_000.0)
+            sink_b, b = make_batcher(max_txns=1, max_ms=10_000.0)
             a.put(sub(0))
             b.put(sub(1))
             a.put(sub(2))
-            assert (await a.next_epoch()).epoch_id == 0
-            assert (await b.next_epoch()).epoch_id == 0
-            assert (await a.next_epoch()).epoch_id == 1
+            assert (await sink_a.get()).epoch_id == 0
+            assert (await sink_b.get()).epoch_id == 0
+            assert (await sink_a.get()).epoch_id == 1
         asyncio.run(run())

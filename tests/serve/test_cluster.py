@@ -13,6 +13,7 @@ import json
 from repro.common.config import (
     ConfigError,
     ExperimentConfig,
+    PredictConfig,
     ServeConfig,
     SimConfig,
 )
@@ -20,8 +21,9 @@ from repro.faults import ShardFailStop
 from repro.obs import load_artifact, validate_serve_artifact
 from repro.serve import (
     STATUS_COMMITTED,
-    ClusterServer,
+    RouteDecision,
     ServeServer,
+    ShardRouter,
     run_loadgen,
     txn_to_wire,
 )
@@ -43,7 +45,7 @@ def cluster_cfg(shards=3, **kw):
 
 async def start_cluster(serve, exp=EXP, **kw):
     kw.setdefault("shard_mode", "inline")
-    server = ClusterServer(serve, exp, **kw)
+    server = ServeServer(serve, exp, **kw)
     await server.start()
     return server
 
@@ -163,6 +165,81 @@ class TestClusterE2E:
         asyncio.run(run())
 
 
+class TestClusterStages:
+    def test_spans_carry_the_shard_measured_stage_split(self):
+        async def run():
+            server = await start_cluster(cluster_cfg())
+            txns = (make_single_shard_txns(60, shards=3)
+                    + make_cross_txns(30, shards=3))
+            report = await run_loadgen("127.0.0.1", server.port, txns,
+                                       clients=8, mode="closed", seed=0,
+                                       drain=True)
+            await server.stop()
+            assert report.committed == 90
+            return server.spans
+
+        spans = asyncio.run(run())
+        for s in spans:
+            assert s.sched_start <= s.sched_end <= s.exec_start <= s.exec_end
+            assert s.exec_end > s.exec_start
+            # Cross slices skip scheduling; single-shard epochs do not.
+            assert (s.sched_end > s.sched_start) is not s.cross
+        assert {s.cross for s in spans} == {True, False}
+
+
+class TestClusterRoutes:
+    def test_route_map_is_empty_after_drain(self):
+        async def run():
+            server = await start_cluster(cluster_cfg())
+            txns = (make_single_shard_txns(60, shards=3)
+                    + make_cross_txns(60, shards=3))
+            await run_loadgen("127.0.0.1", server.port, txns, clients=8,
+                              mode="closed", seed=0, drain=True)
+            await server.stop()
+            return server
+
+        server = asyncio.run(run())
+        assert any(s.cross for s in server.spans)
+        assert server._routes == {}
+
+    def test_one_shard_routes_without_hashing(self, monkeypatch):
+        import repro.serve.router as router
+
+        def no_hashing(group, shards):
+            raise AssertionError("one shard must not hash")
+
+        txn = make_cross_txns(1, shards=3)[0]
+        monkeypatch.setattr(router, "shard_of_group", no_hashing)
+        assert ShardRouter(1).classify(txn) == RouteDecision((0,), 0, False)
+
+
+class TestClusterAdaptive:
+    def test_coordinator_predict_section_counts_every_commit(self):
+        exp = ExperimentConfig(
+            sim=SimConfig(num_threads=4), seed=0,
+            predict=PredictConfig(hot_threshold=2.0, admission=False))
+
+        async def run():
+            server = await start_cluster(cluster_cfg(shards=2), exp=exp)
+            txns = (make_single_shard_txns(80, shards=2,
+                                           single_writer=False)
+                    + make_cross_txns(40, shards=2))
+            report = await run_loadgen("127.0.0.1", server.port, txns,
+                                       clients=8, mode="closed", seed=0,
+                                       drain=True)
+            art = server.artifact()
+            await server.stop()
+            return report, art
+
+        report, art = asyncio.run(run())
+        assert report.committed == 120
+        predict = art["predict"]
+        assert predict["commits_observed"] == art["summary"]["committed"]
+        # One merge per epoch, and the merged sketch saw the writes.
+        assert predict["epoch"] == art["summary"]["epochs"]
+        assert predict["heat_total"] > 0
+
+
 class TestClusterBackpressure:
     def test_overload_rejects_then_commits_all(self):
         async def run():
@@ -216,19 +293,15 @@ class TestClusterDrain:
 
 
 class TestClusterConfig:
-    def test_single_shard_config_is_rejected(self):
-        with pytest.raises(ConfigError):
-            ClusterServer(cluster_cfg(shards=1), EXP)
-
     def test_span_tracing_is_rejected(self):
         with pytest.raises(ConfigError):
-            ClusterServer(cluster_cfg(), EXP, trace_path="/tmp/x.jsonl")
+            ServeServer(cluster_cfg(), EXP, trace_path="/tmp/x.jsonl")
 
     def test_unknown_shard_mode_is_rejected(self):
         with pytest.raises(ConfigError):
-            ClusterServer(cluster_cfg(), EXP, shard_mode="thread")
+            ServeServer(cluster_cfg(), EXP, shard_mode="thread")
 
     def test_fault_naming_missing_shard_is_rejected(self):
         with pytest.raises(ConfigError):
-            ClusterServer(cluster_cfg(), EXP,
+            ServeServer(cluster_cfg(), EXP,
                           shard_faults=[ShardFailStop(shard=7)])

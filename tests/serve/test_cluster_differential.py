@@ -19,11 +19,13 @@ Three equivalence legs (docs/sharding.md):
 
 import asyncio
 
+import pytest
 from cluster_util import make_cross_txns, make_single_shard_txns
 
 from repro.bench.workloads import TpccGenerator, YcsbGenerator
 from repro.common.config import (
     ExperimentConfig,
+    PredictConfig,
     ServeConfig,
     SimConfig,
     TpccConfig,
@@ -31,12 +33,12 @@ from repro.common.config import (
 )
 from repro.serve import (
     STATUS_COMMITTED,
-    ClusterServer,
     ServeServer,
     ShardRouter,
     replay_cluster,
     replay_epochs,
     run_loadgen,
+    state_digest,
     txn_from_wire,
     txn_to_wire,
 )
@@ -86,7 +88,7 @@ class TestSingleShardTopologyDifferential:
         async def run():
             txns = make_single_shard_txns(240, shards=3)
 
-            cluster = ClusterServer(serve_cfg(3), EXP, shard_mode="inline")
+            cluster = ServeServer(serve_cfg(3), EXP, shard_mode="inline")
             await cluster.start()
             rep_c = await run_loadgen("127.0.0.1", cluster.port, txns,
                                       clients=8, mode="closed", seed=0,
@@ -125,7 +127,7 @@ class TestCrossMixReplayDeterminism:
     def test_live_cross_mix_replays_bit_identically_twice(self):
         async def run():
             serve = serve_cfg(3)
-            cluster = ClusterServer(serve, EXP, shard_mode="inline")
+            cluster = ServeServer(serve, EXP, shard_mode="inline")
             await cluster.start()
             txns = mixed_cross_workload()
             report = await run_loadgen("127.0.0.1", cluster.port, txns,
@@ -173,3 +175,70 @@ class TestCrossMixReplayDeterminism:
         assert merged1  # the cross path actually wrote something
         for s in ex1:
             assert ex1[s].clock == ex2[s].clock
+
+
+def pin_workload(n=240, seed=21):
+    """Contended YCSB traffic: multi-writer keys, aborts and deferrals."""
+    return list(YcsbGenerator(
+        YcsbConfig(num_records=400, theta=0.9, ops_per_txn=6), seed=seed
+    ).make_workload(n))
+
+
+class TestSingleShardServerPin:
+    """A ``--shards 1`` server is bit-identical to its epochs' replay.
+
+    The live run records its epoch compositions; replaying them batch
+    style through a fresh executor must reproduce the drained state
+    digest and virtual clock, and for an adaptive server the final
+    predictor state the artifact reports.
+    """
+
+    SYSTEMS = {
+        "tskd-s": None,
+        "tskd-cc": None,
+        "tskd-0+predict": PredictConfig(hot_threshold=2.0, admission=False),
+    }
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_live_single_shard_matches_replay(self, name):
+        system = name.split("+")[0]
+        exp = ExperimentConfig(sim=SimConfig(num_threads=4), seed=0,
+                               predict=self.SYSTEMS[name])
+        serve = serve_cfg(1, system=system)
+        txns = pin_workload()
+
+        async def run():
+            server = ServeServer(serve, exp)
+            await server.start()
+            report = await run_loadgen("127.0.0.1", server.port, txns,
+                                       clients=8, mode="closed", seed=0,
+                                       drain=True)
+            artifact = server.artifact()
+            await server.stop()
+            return report, artifact
+
+        report, artifact = asyncio.run(run())
+        assert report.errors == 0
+        assert report.committed == len(txns)
+        by_tid = {
+            r.tid: txn_from_wire(txn_to_wire(txns[r.req_id]), tid=r.tid)
+            for r in report.records
+        }
+        spans = sorted(artifact["epochs"], key=lambda e: e["epoch"])
+        assert [e["epoch"] for e in spans] == list(range(len(spans)))
+        epochs = [[by_tid[t] for t in e["tids"]] for e in spans]
+        replayed, outcomes = replay_epochs(serve, exp, epochs)
+
+        digest = state_digest([r.req_id for r in report.records],
+                              replayed.database_state(),
+                              {r.tid: r.req_id for r in report.records})
+        assert report.drained["state_digest"] == digest
+        assert artifact["summary"]["end_cycles"] == replayed.clock
+        assert sum(o.committed for o in outcomes) == len(txns)
+        if exp.predict is None:
+            assert "predict" not in artifact
+            return
+        live, ref = artifact["predict"], replayed.policy.snapshot()
+        for key in ("knobs", "retunes", "steer_reorders", "defer_boosts",
+                    "epoch", "commits_observed"):
+            assert live[key] == ref[key], key
