@@ -3,7 +3,8 @@
 The tier-1 suite answers "is it still correct?"; this module answers
 "is it still fast?".  ``run_perf`` times a pinned set of representative
 cases — two fig5 YCSB cells (DBCC and TSKD[CC] at theta 0.8), two fig4
-TPC-C cells (Strife and TSKD[S] under an I/O tail), and one end-to-end
+TPC-C cells (Strife and TSKD[S] under an I/O tail), one adaptive TSKD[0]
+cell on a drifting hotspot (epoched path, predictor on), and one end-to-end
 serve session saturated by the closed-loop load generator — and writes one
 schema-validated ``repro.bench/1`` document per revision into
 ``benchmarks/results/``.  Committing a BENCH file per meaningful change
@@ -34,7 +35,12 @@ import time
 from dataclasses import replace
 from typing import Optional
 
-from ..common.config import ExperimentConfig, IoLatencyConfig, ServeConfig
+from ..common.config import (
+    ExperimentConfig,
+    IoLatencyConfig,
+    PredictConfig,
+    ServeConfig,
+)
 from ..obs.artifact import BENCH_SCHEMA_ID, validate_bench_artifact
 from ..obs.prof import Profiler
 from .experiments import (
@@ -42,6 +48,7 @@ from .experiments import (
     QUICK,
     Scale,
     default_exp,
+    drift_ycsb_workload,
     tpcc_workload,
     ycsb_workload,
 )
@@ -203,6 +210,15 @@ def run_perf(
     cases.append(_sim_case("fig4.tpcc.io.tskd-s", w_tpcc, "tskd-s",
                            exp4, repeat))
 
+    # The abl_adaptive adaptive arm on its drifting hotspot.
+    exp_a = exp5.with_(predict=PredictConfig(
+        admission=False, epoch_txns=50, hot_threshold=2.0,
+        hot_defer_prob=0.9))
+    w_drift = drift_ycsb_workload(scale, exp_a, 0.9, seed=0,
+                                  records=scale.bundle * 50)
+    cases.append(_sim_case("drift.ycsb.t09.tskd-0.adaptive", w_drift,
+                           "tskd-0", exp_a, repeat))
+
     cases.append(asyncio.run(
         _serve_case_async("serve.loadgen.closed", scale, exp5)))
 
@@ -239,13 +255,13 @@ def compare_bench(new_doc: dict, base_doc: dict,
     base_by_name = {c["name"]: c for c in base_doc["cases"]}
     lines = [f"== perf compare: {new_doc['rev']} vs {base_doc['rev']} "
              f"(gate: sim cases, +{tolerance:.0%} wall/txn)"]
-    lines.append(f"{'case':<26s} {'base us/txn':>12s} {'new us/txn':>11s} "
+    lines.append(f"{'case':<30s} {'base us/txn':>12s} {'new us/txn':>11s} "
                  f"{'delta':>8s}  verdict")
     ok = True
     for case in new_doc["cases"]:
         base = base_by_name.get(case["name"])
         if base is None:
-            lines.append(f"{case['name']:<26s} {'-':>12s} {'-':>11s} "
+            lines.append(f"{case['name']:<30s} {'-':>12s} {'-':>11s} "
                          f"{'-':>8s}  new case (no baseline)")
             continue
         new_pt = case["wall_s"] / max(case["committed"], 1)
@@ -259,11 +275,11 @@ def compare_bench(new_doc: dict, base_doc: dict,
             verdict = "ok"
         else:
             verdict = "info only"
-        lines.append(f"{case['name']:<26s} {base_pt * 1e6:>12.1f} "
+        lines.append(f"{case['name']:<30s} {base_pt * 1e6:>12.1f} "
                      f"{new_pt * 1e6:>11.1f} {delta:>+8.1%}  {verdict}")
     missing = sorted(set(base_by_name) - {c["name"] for c in new_doc["cases"]})
     for name in missing:
-        lines.append(f"{name:<26s} dropped from the new run")
+        lines.append(f"{name:<30s} dropped from the new run")
     return ok, "\n".join(lines)
 
 
@@ -282,11 +298,11 @@ def render_bench(doc: dict) -> str:
         f"scale, {m['platform']}, python {m['python']}, "
         f"{m['cpu_count']} cpus)"
     ]
-    lines.append(f"{'case':<26s} {'kind':>6s} {'wall s':>8s} "
+    lines.append(f"{'case':<30s} {'kind':>6s} {'wall s':>8s} "
                  f"{'committed':>10s} {'txn/s(wall)':>12s}")
     for c in doc["cases"]:
         lines.append(
-            f"{c['name']:<26s} {c['kind']:>6s} {c['wall_s']:>8.3f} "
+            f"{c['name']:<30s} {c['kind']:>6s} {c['wall_s']:>8.3f} "
             f"{c['committed']:>10,} {c['wall_txn_s']:>12,.0f}"
         )
     return "\n".join(lines)

@@ -175,18 +175,23 @@ def scrambled_zipfian(gen: ZipfianGenerator, n: int) -> int:
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv_hash64(value: int) -> int:
-    """64-bit FNV-1a hash of an integer, as used by YCSB for scrambling."""
-    h = _FNV_OFFSET
-    v = value & 0xFFFFFFFFFFFFFFFF
-    for _ in range(8):
-        octet = v & 0xFF
-        v >>= 8
-        h = h ^ octet
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+    """64-bit FNV-1a hash of an integer, as used by YCSB for scrambling.
+
+    Hashes the eight little-endian octets of ``value mod 2**64``.
+    """
+    v = value & _MASK64
+    h = ((_FNV_OFFSET ^ (v & 255)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ (v >> 8 & 255)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ (v >> 16 & 255)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ (v >> 24 & 255)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ (v >> 32 & 255)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ (v >> 40 & 255)) * _FNV_PRIME) & _MASK64
+    h = ((h ^ (v >> 48 & 255)) * _FNV_PRIME) & _MASK64
+    return ((h ^ (v >> 56)) * _FNV_PRIME) & _MASK64
 
 
 def zipf_bounded(rng: Rng, lo: float, hi: float, theta: float, buckets: int = 64) -> float:

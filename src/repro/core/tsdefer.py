@@ -90,10 +90,11 @@ class TsDefer:
         #: Deferrals per not-yet-committed tid (bounds each by max_defers).
         self._defer_count: dict[int, int] = {}
         #: Optional conflict predictor (:class:`repro.predict.OnlinePolicy`).
-        #: When set, transactions touching a predicted-hot key are checked
-        #: with the policy's boosted knobs (``hot_num_lookups`` /
-        #: ``hot_defer_prob``) instead of the base config — the deferment
-        #: budget concentrates on the traffic the sketch says conflicts.
+        #: When set, transactions touching a key of its ``hot_set``
+        #: snapshot are checked with the policy's boosted knobs
+        #: (``hot_num_lookups`` / ``hot_defer_prob``) instead of the base
+        #: config — the deferment budget concentrates on the traffic the
+        #: sketch says conflicts.
         #: None keeps filtering bit-identical to the unpredicted path.
         self.heat = None
 
@@ -134,10 +135,11 @@ class TsDefer:
             return False, 0
         self.stats.checks += 1
         num_lookups, defer_prob = cfg.num_lookups, cfg.defer_prob
-        if self.heat is not None and self.heat.hot_keys(txn):
-            num_lookups = max(num_lookups, self.heat.hot_num_lookups)
-            defer_prob = max(defer_prob, self.heat.hot_defer_prob)
-            self.heat.note_boosted()
+        heat = self.heat
+        if heat is not None and not heat.hot_set.isdisjoint(txn.access_set):
+            num_lookups = max(num_lookups, heat.hot_num_lookups)
+            defer_prob = max(defer_prob, heat.hot_defer_prob)
+            heat.note_boosted()
         items = self.table.probe(
             thread_id,
             num_lookups,
@@ -156,7 +158,7 @@ class TsDefer:
                 if self.isolation is IsolationLevel.SNAPSHOT
                 else txn.access_set
             )
-            hits = sum(1 for item in items if item in target)
+            hits = sum(map(target.__contains__, items))
             likely_conflict = hits >= cfg.threshold
         else:  # the literal "#lookups - d" duplicate-counting rule
             hits = len(items) - len(set(items))

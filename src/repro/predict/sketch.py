@@ -90,20 +90,43 @@ class DecayedCountMinSketch:
         self.rows: list[list[float]] = [
             [0.0] * width for _ in range(depth)
         ]
+        #: For a power-of-two width, ``fnv64(x) % width`` depends only on
+        #: the low log2(width) bits of each FNV round (XOR is bitwise; a
+        #: product's low bits depend only on its factors' low bits), so a
+        #: round is ``h = table[h ^ octet]``.  None: other widths.
+        self._index_table: list[int] | None = None
+        if width & (width - 1) == 0:
+            mask = width - 1
+            self._index_table = [(x * _FNV_PRIME) & mask
+                                 for x in range(max(width, 256))]
+            self._index_start = _FNV_OFFSET & mask
         #: key -> fingerprint, for keys whose estimate reached
         #: CANDIDATE_MIN; capped at hot_capacity by coldest-first eviction.
+        #: update() reuses a candidate's stored fingerprint.
         self._candidates: dict[Hashable, int] = {}
         self.updates = 0
         self.decays = 0
 
     # -- core sketch operations -------------------------------------------
     def _indices(self, fp: int) -> list[int]:
-        w = self.width
-        return [fnv_hash64(fp ^ salt) % w for salt in self.salts]
+        t = self._index_table
+        if t is None:
+            w = self.width
+            return [fnv_hash64(fp ^ salt) % w for salt in self.salts]
+        # fp is a 64-bit fingerprint and salts are below 2**62, so
+        # fp ^ salt fits the eight octets FNV hashes, lowest first.
+        start = self._index_start
+        out = []
+        for salt in self.salts:
+            o0, o1, o2, o3, o4, o5, o6, o7 = (fp ^ salt).to_bytes(8, "little")
+            out.append(t[t[t[t[t[t[t[t[start ^ o0] ^ o1] ^ o2] ^ o3]
+                                 ^ o4] ^ o5] ^ o6] ^ o7])
+        return out
 
     def update(self, key: Hashable, amount: float = 1.0) -> float:
         """Add ``amount`` to the key's cells; returns the new estimate."""
-        fp = key_fingerprint(key)
+        known = self._candidates.get(key)
+        fp = key_fingerprint(key) if known is None else known
         est = None
         for row, i in zip(self.rows, self._indices(fp)):
             v = row[i] + amount
@@ -111,7 +134,7 @@ class DecayedCountMinSketch:
             if est is None or v < est:
                 est = v
         self.updates += 1
-        if est >= CANDIDATE_MIN and key not in self._candidates:
+        if known is None and est >= CANDIDATE_MIN:
             self._candidates[key] = fp
             if len(self._candidates) > self.hot_capacity:
                 self._evict_coldest()
@@ -143,10 +166,7 @@ class DecayedCountMinSketch:
         f = self.decay_factor
         if f < 1.0:
             for row in self.rows:
-                for i, v in enumerate(row):
-                    if v:
-                        v *= f
-                        row[i] = v if v > 1e-9 else 0.0
+                row[:] = [v * f if v * f > 1e-9 else 0.0 for v in row]
         self.decays += 1
         if self._candidates:
             cold = [k for k, fp in self._candidates.items()
@@ -192,11 +212,12 @@ class DecayedCountMinSketch:
         Order is deterministic: descending estimate, then fingerprint,
         then ``repr`` as the final tiebreak.
         """
-        return sorted(
-            ((key, self._estimate_fp(fp))
+        ranked = sorted(
+            ((key, self._estimate_fp(fp), fp)
              for key, fp in self._candidates.items()),
-            key=lambda kv: (-kv[1], key_fingerprint(kv[0]), repr(kv[0])),
+            key=lambda kef: (-kef[1], kef[2], repr(kef[0])),
         )
+        return [(key, est) for key, est, _ in ranked]
 
     def top_k(self, n: int) -> list[tuple[Hashable, float]]:
         """The ``n`` hottest tracked keys with their estimates."""

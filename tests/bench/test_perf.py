@@ -158,5 +158,6 @@ class TestQuickRunner:
         assert on_disk["rev"] == "t0"
         names = [c["name"] for c in on_disk["cases"]]
         assert "serve.loadgen.closed" in names
+        assert "drift.ycsb.t09.tskd-0.adaptive" in names
         sim = [c for c in on_disk["cases"] if c["kind"] == "sim"]
         assert all(c["profile_top"] for c in sim)

@@ -114,6 +114,28 @@ class TestHelpers:
         hashes = {fnv_hash64(i) % 1000 for i in range(200)}
         assert len(hashes) > 150  # no catastrophic clustering
 
+    def test_fnv_matches_byte_loop(self):
+        """The unrolled hash is FNV-1a over the eight little-endian
+        octets of ``value mod 2**64``, as the reference loop computes."""
+        def loop(value):
+            h, v = 0xCBF29CE484222325, value & 0xFFFFFFFFFFFFFFFF
+            for _ in range(8):
+                h = ((h ^ (v & 0xFF)) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+                v >>= 8
+            return h
+        edge = [0, 1, 255, 256, 2**63, 2**64 - 1, 2**64, -1, -12345,
+                -(2**64), 2**70 + 5, 3**90]
+        for v in edge + list(range(-300, 300, 7)):
+            assert fnv_hash64(v) == loop(v)
+
+    def test_fnv_literal_values(self):
+        assert fnv_hash64(0) == 0xA8C7F832281A39C5
+        assert fnv_hash64(2**64 - 1) == 0x8CF51A8BFCA3883D
+        assert fnv_hash64(-1) == 0x8CF51A8BFCA3883D
+        assert fnv_hash64(-12345) == 0x45C11FEC7BD25825
+        assert fnv_hash64(2**70 + 5) == 0xDE21504F16DC720
+        assert fnv_hash64(12345) == 0xE71EB185E2EDCC4C
+
     def test_zipf_bounded_range(self):
         rng = Rng(11)
         values = [zipf_bounded(rng, 10.0, 500.0, 0.8) for _ in range(2_000)]

@@ -10,6 +10,7 @@ guarantee both hang off that last one.
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 from collections import Counter
@@ -17,6 +18,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.rng import fnv_hash64
 from repro.predict.sketch import (
     CANDIDATE_MIN,
     DecayedCountMinSketch,
@@ -180,3 +182,60 @@ class TestCrossProcessStability:
                      sk.total_mass()))
         assert self._run_in_subprocess("1") == here
         assert self._run_in_subprocess("31337") == here
+
+
+class TestRowIndices:
+    """Row ``d`` of a key is ``fnv_hash64(fp ^ salt_d) % width`` at every
+    width; power-of-two widths reach it through a lookup table."""
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1),
+           st.sampled_from([1, 2, 16, 64, 256, 1024, 4096, 1000, 3]))
+    @settings(max_examples=300)
+    def test_indices_equal_fnv_mod_width(self, fp, width):
+        sk = DecayedCountMinSketch(width=width, depth=4, seed=width)
+        assert sk._indices(fp) == [fnv_hash64(fp ^ s) % width
+                                   for s in sk.salts]
+
+
+class TestFixedStreamPin:
+    """Literal cells and heat after a fixed update/decay stream.
+
+    Recorded once and never re-derived from the code under test, so any
+    change to fingerprints, salts, row indices, decay or candidate
+    bookkeeping fails here, not only in the end-to-end adaptive golden.
+    Width 64 forces collisions; 1024 is the default geometry; 1000 takes
+    the non-power-of-two index path.
+    """
+
+    _PINS = {
+        64: ("1f108f571282e059",
+             [(61, 5.375), (("user", 11), 5.375), (("user", 5), 4.875),
+              (("user", 6), 4.75), (("user", 8), 4.4375),
+              (("user", 4), 4.25), (("user", 2), 4.1875),
+              (("user", 9), 3.75)]),
+        1024: ("997c77ba7aff5eac",
+               [(("user", 12), 3.75), (("user", 0), 3.75),
+                (("user", 3), 3.75), (("user", 6), 3.75),
+                (("user", 9), 3.75), (("user", 10), 3.6875),
+                (("user", 7), 3.6875), (("user", 4), 3.625)]),
+        1000: ("e05befbaf20d8351",
+               [(("user", 12), 3.75), (("user", 0), 3.75),
+                (("user", 3), 3.75), (("user", 6), 3.75),
+                (("user", 9), 3.75), (("user", 10), 3.6875),
+                (("user", 7), 3.6875), (("user", 4), 3.625)]),
+    }
+
+    @staticmethod
+    def _run(width):
+        sk = DecayedCountMinSketch(width=width, depth=4, decay=0.5, seed=11,
+                                   hot_capacity=8)
+        for i in range(600):
+            sk.update((i * 7919) % 97 if i % 3 else ("user", i % 13))
+            if i % 150 == 149:
+                sk.decay()
+        digest = hashlib.sha256(repr(sk.rows).encode()).hexdigest()[:16]
+        return digest, sk.hot_items()
+
+    def test_rows_and_heat_match_pin(self):
+        for width, pin in self._PINS.items():
+            assert self._run(width) == pin, width
