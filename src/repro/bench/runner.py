@@ -26,6 +26,7 @@ from ..common.rng import Rng
 from ..common.stats import RunResult, percentile
 from ..core.tskd import TSKD, execute_phases
 from ..faults import FaultInjector, FaultPlan
+from ..obs.instrument import Instrument
 from ..obs.metrics import (
     LATENCY_BUCKETS_CYCLES,
     RETRY_BUCKETS,
@@ -36,6 +37,7 @@ from ..obs.tracing import Tracer
 from ..partition.base import Partitioner
 from ..sim.engine import MulticoreEngine, PhaseResult, merge_phase_results
 from ..sim.fastengine import make_engine
+from ..sim.stream import OpenSystemResult, run_open_system
 from ..sim.warmup import warm_up_history
 from ..txn.cost import CostModel
 from ..txn.workload import Workload
@@ -166,6 +168,7 @@ def run_system(
         policy = OnlinePolicy(predict, exp.seed)
 
     tsdefer = tskd.make_filter(k, rng=rng.fork(3))
+    instrument = Instrument.of(tracer, prof)
     # Faults target the CC execution engine only: the enforced CC-free
     # queue phase upholds a precomputed precedence schedule whose gating
     # assumes fixed thread placement, so chaos there would test the
@@ -176,17 +179,9 @@ def run_system(
         progress_hooks=fan_out(tsdefer, policy),
         record_history=record_history,
         db=db,
-        tracer=tracer,
         faults=injector,
-        prof=prof,
+        instrument=instrument,
     )
-    if tsdefer is not None:
-        # Bounded future probing reads remote queues past headp.
-        tsdefer.table.bind_buffers(engine.buffer_of)
-        if injector is not None and injector.enabled:
-            tsdefer.table.bind_corruption(injector.probe_corrupt)
-        if prof is not None:
-            tsdefer.table.bind_profiler(prof)
 
     registry = metrics if metrics is not None else MetricsRegistry()
     results = []
@@ -209,7 +204,7 @@ def run_system(
             if enforced:
                 gate = _gate_engine(plan.schedule,
                                  window.conflict_graph(tskd.isolation),
-                                 engine, sim, db, record_history, tracer, prof)
+                                 engine, sim, db, record_history, instrument)
                 epoch.append(gate.run(phases[0], start_time=clock))
                 clock = epoch[0].end_time
                 contended += gate.protocol.contended
@@ -243,32 +238,61 @@ def run_system(
     if policy is not None:
         policy.publish(registry)
     scheduled = tskd.use_tspar
-    run = RunResult(
+    run = _run_result(
+        registry, total, latencies,
         name=name or system_name(system),
-        committed=total.counters.committed,
         makespan_cycles=clock,
-        retries=total.counters.aborts,
-        deferrals=total.counters.deferrals,
         contended_accesses=contended,
-        wasted_cycles=total.counters.wasted_cycles,
-        blocked_cycles=total.counters.blocked_cycles,
-        num_threads=k,
-        thread_busy_cycles=total.thread_busy,
         scheduled_pct=((merged_residual / input_residual
                         if input_residual else 1.0) if scheduled else None),
         queue_retries=queue_retries if scheduled else None,
-        latency_p50=percentile(latencies, 0.50),
-        latency_p95=percentile(latencies, 0.95),
-        latency_p99=percentile(latencies, 0.99),
-        metrics=registry,
     )
-    _publish_run_gauges(registry, run)
     if policy is not None:
         object.__setattr__(run, "_policy", policy)
     if record_history:
         # Stash the engine so callers can inspect history / storage.
         object.__setattr__(run, "_engine", engine)
     return run
+
+
+def run_open(
+    workload: Workload,
+    system: System,
+    exp: ExperimentConfig,
+    offered_tps: float,
+    assignment: str = "round_robin",
+    tracer: Optional[Tracer] = None,
+    prof: Optional[Profiler] = None,
+) -> tuple[RunResult, OpenSystemResult]:
+    """Drive ``workload`` into ``system`` as a Poisson arrival stream.
+
+    The open-system mode of :mod:`repro.sim.stream`: transactions arrive
+    unbundled at ``offered_tps`` straight into the thread buffers, so
+    only systems without a TsPAR phase run (DBCC and ``tskd-cc``).  The
+    result carries the same populated metrics registry as
+    :func:`run_system`.
+    """
+    tskd = as_tskd(system)
+    if tskd.use_tspar or tskd.partitioner is not None:
+        raise ValueError(
+            "an arrival stream goes straight into the thread buffers (no "
+            "TsPAR phase); use dbcc or tskd-cc")
+    k = exp.sim.num_threads
+    rng = Rng(exp.seed * 31 + 5)
+    tsdefer = tskd.make_filter(k, rng=rng.fork(3))
+    engine = make_engine(exp.sim, dispatch_filter=tsdefer,
+                         progress_hooks=tsdefer,
+                         instrument=Instrument.of(tracer, prof))
+    osr = run_open_system(engine, list(workload), offered_tps,
+                          rng=rng.fork(4), assignment=assignment)
+    registry = MetricsRegistry()
+    latencies = sorted(osr.phase.latencies)
+    _populate_registry(registry, osr.phase, engine, tsdefer, latencies)
+    run = _run_result(registry, osr.phase, latencies,
+                      name=system_name(system),
+                      makespan_cycles=osr.phase.end_time,
+                      contended_accesses=engine.protocol.contended)
+    return run, osr
 
 
 def _epochs(workload: Workload, epoch_txns: int, rng: Rng):
@@ -283,7 +307,7 @@ def _epochs(workload: Workload, epoch_txns: int, rng: Rng):
                         name=f"{workload.name}-e{i}"), rng.fork(i))
 
 
-def _gate_engine(schedule, graph, engine, sim, db, record_history, tracer, prof):
+def _gate_engine(schedule, graph, engine, sim, db, record_history, instrument):
     """The CC-free engine that runs a schedule's queue phase, gated.
 
     The scheduled order is upheld by dependency gating, so no CC
@@ -297,7 +321,7 @@ def _gate_engine(schedule, graph, engine, sim, db, record_history, tracer, prof)
         sim.with_(cc="none", cc_op_overhead=0, commit_overhead=0),
         db=db, dispatch_gate=enforcer, progress_hooks=enforcer,
         record_history=record_history, versions=engine.versions,
-        history=engine.history, tracer=tracer, prof=prof,
+        history=engine.history, instrument=instrument,
     )
     enforcer.bind(gate)
     return gate
@@ -334,6 +358,27 @@ def _populate_registry(
         "retries.per_txn", RETRY_BUCKETS,
         "aborted attempts per committed transaction",
     ).observe_many(total.retry_counts)
+
+
+def _run_result(registry: MetricsRegistry, total: PhaseResult,
+                latencies: list[int], **fields) -> RunResult:
+    """The run's headline result over ``total``, its gauges published."""
+    run = RunResult(
+        committed=total.counters.committed,
+        retries=total.counters.aborts,
+        deferrals=total.counters.deferrals,
+        wasted_cycles=total.counters.wasted_cycles,
+        blocked_cycles=total.counters.blocked_cycles,
+        num_threads=len(total.thread_busy),
+        thread_busy_cycles=total.thread_busy,
+        latency_p50=percentile(latencies, 0.50),
+        latency_p95=percentile(latencies, 0.95),
+        latency_p99=percentile(latencies, 0.99),
+        metrics=registry,
+        **fields,
+    )
+    _publish_run_gauges(registry, run)
+    return run
 
 
 def _publish_run_gauges(registry: MetricsRegistry, run: RunResult) -> None:

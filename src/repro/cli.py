@@ -47,7 +47,7 @@ import sys
 from typing import Sequence
 
 from .bench.experiments import main as experiments_main
-from .bench.runner import SYSTEM_SPECS, make_system, run_system
+from .bench.runner import SYSTEM_SPECS, make_system, run_open, run_system
 from .bench.workloads import (
     TpccGenerator,
     YcsbGenerator,
@@ -171,56 +171,6 @@ def _print_result(result) -> None:
              if result.scheduled_pct is not None else ""))
 
 
-def _run_open_system(workload, exp, args, tracer, prof=None):
-    """Arrival-driven run; returns (RunResult, OpenSystemResult)."""
-    from .common.rng import Rng
-    from .common.stats import RunResult, percentile
-    from .core.tskd import TSKD
-    from .sim.fastengine import make_engine
-    from .sim.stream import run_open_system
-
-    system = _make_system(args.system)
-    k = exp.sim.num_threads
-    rng = Rng(exp.seed * 31 + 5)
-    filt = None
-    if isinstance(system, TSKD):
-        if system.use_tspar or system.partitioner is not None:
-            raise SystemExit(
-                "--offered-tps drives unbundled arrivals straight into the "
-                "thread buffers (no TsPAR phase); use --system dbcc or tskd-cc")
-        filt = system.make_filter(k, rng=rng.fork(3))
-    elif not isinstance(system, str):
-        raise SystemExit("--offered-tps supports dbcc or tskd-cc only")
-    engine = make_engine(exp.sim, dispatch_filter=filt,
-                         progress_hooks=filt, tracer=tracer, prof=prof)
-    if filt is not None:
-        filt.table.bind_buffers(engine.buffer_of)
-        if prof is not None:
-            filt.table.bind_profiler(prof)
-    osr = run_open_system(engine, list(workload), args.offered_tps,
-                          rng=rng.fork(4), assignment=args.arrival_assignment)
-    phase = osr.phase
-    lat = sorted(phase.latencies)
-    from .bench.runner import system_name
-
-    result = RunResult(
-        name=system_name(system),
-        committed=phase.counters.committed,
-        makespan_cycles=phase.end_time,
-        retries=phase.counters.aborts,
-        deferrals=phase.counters.deferrals,
-        contended_accesses=engine.protocol.contended,
-        wasted_cycles=phase.counters.wasted_cycles,
-        blocked_cycles=phase.counters.blocked_cycles,
-        num_threads=k,
-        thread_busy_cycles=tuple(phase.thread_busy),
-        latency_p50=percentile(lat, 0.50),
-        latency_p95=percentile(lat, 0.95),
-        latency_p99=percentile(lat, 0.99),
-    )
-    return result, osr
-
-
 def cmd_run(args) -> int:
     workload, exp = _build(args)
     if args.adaptive and args.offered_tps:
@@ -245,8 +195,13 @@ def cmd_run(args) -> int:
     open_system = None
     try:
         if args.offered_tps:
-            result, osr = _run_open_system(workload, exp, args, tracer,
-                                           prof=prof)
+            try:
+                result, osr = run_open(
+                    workload, _make_system(args.system), exp,
+                    args.offered_tps, assignment=args.arrival_assignment,
+                    tracer=tracer, prof=prof)
+            except ValueError as e:
+                raise SystemExit(f"--offered-tps: {e}")
             open_system = osr.to_dict()
         else:
             result = run_system(workload, _make_system(args.system), exp,

@@ -62,8 +62,6 @@ class ProgressTable:
         self.corrupted_observations = 0
         #: Optional ``now -> bool`` corruption oracle (FaultInjector.probe_corrupt).
         self._corrupt = None
-        #: Optional section profiler; probes charge ``progress_table.probe``.
-        self._prof = None
         self._current: list[Optional[Transaction]] = [None] * num_threads
         self._previous: list[Optional[Transaction]] = [None] * num_threads
         #: Predicted (visible) write set per tid, materialised once.
@@ -97,10 +95,6 @@ class ProgressTable:
     def bind_corruption(self, corrupt) -> None:
         """Install a ``now -> bool`` probe-corruption oracle (repro.faults)."""
         self._corrupt = corrupt
-
-    def bind_profiler(self, prof) -> None:
-        """Attribute probe time to a :class:`repro.obs.prof.Profiler`."""
-        self._prof = prof
 
     # -- maintenance (single writer per slot in the real structure) -----
     def on_dispatch(self, thread_id: int, txn: Transaction, now: int = 0) -> None:
@@ -195,23 +189,6 @@ class ProgressTable:
         Items come from *predicted write sets*, so staleness and
         access-set inaccuracy apply in both scopes.
         """
-        if self._prof is not None:
-            self._prof.push("progress_table.probe")
-            try:
-                return self._probe(requester, num_lookups, scope,
-                                   future_depth, now)
-            finally:
-                self._prof.pop()
-        return self._probe(requester, num_lookups, scope, future_depth, now)
-
-    def _probe(
-        self,
-        requester: int,
-        num_lookups: int,
-        scope: str,
-        future_depth: int,
-        now: int,
-    ) -> list[Key]:
         # One probe space per remote thread: the visible write sets of its
         # observed transactions (headp plus bounded future), so the probe
         # budget does not grow with future_depth.  This is the engine's

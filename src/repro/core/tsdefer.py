@@ -119,6 +119,21 @@ class TsDefer:
             prefix="progress_table.",
         )
 
+    def bind(self, engine) -> None:
+        """Wire the progress table to the engine that runs this filter.
+
+        Bounded future probing reads the engine's remote queues past
+        headp; an enabled fault plan's corruption windows force stale
+        probes; a profiled engine times probes as
+        ``progress_table.probe``.
+        """
+        self.table.bind_buffers(engine.buffer_of)
+        faults = engine.faults
+        if faults is not None and faults.enabled:
+            self.table.bind_corruption(faults.probe_corrupt)
+        if engine.instrument is not None:
+            engine.instrument.wrap(self.table, probe="progress_table.probe")
+
     # -- ProgressHooks ---------------------------------------------------
     def on_dispatch(self, thread_id: int, txn: Transaction, now: int) -> None:
         self.table.on_dispatch(thread_id, txn, now)

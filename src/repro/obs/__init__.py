@@ -11,6 +11,8 @@ Cooperating layers, all optional and zero-overhead when unused:
 * :mod:`repro.obs.prof` — a sampling-free section profiler attributing
   wall self-time and deterministic virtual cycles to named engine
   sections (``run --profile``);
+* :mod:`repro.obs.instrument` — the engines' one hook over a tracer
+  and/or a profiler: event sites and wall-time sections;
 * :mod:`repro.obs.chrome` — Chrome trace-event export of span logs and
   serve epoch windows (``trace --chrome``, Perfetto-viewable);
 * :mod:`repro.obs.live` — sliding-window latency quantiles and the
@@ -48,6 +50,7 @@ from .chrome import (
     validate_chrome_events,
     write_chrome_trace,
 )
+from .instrument import Instrument
 from .live import LIVE_WINDOW_S, SlidingWindow, render_dashboard, watch
 from .metrics import (
     LATENCY_BUCKETS_CYCLES,
@@ -60,7 +63,6 @@ from .metrics import (
     P2Quantile,
 )
 from .prof import (
-    ProfiledTracer,
     Profiler,
     activate_profiler,
     deactivate_profiler,
@@ -92,13 +94,13 @@ __all__ = [
     "EVENT_KINDS",
     "Gauge",
     "Histogram",
+    "Instrument",
     "JsonlTracer",
     "LATENCY_BUCKETS_CYCLES",
     "LIVE_WINDOW_S",
     "ListTracer",
     "MetricsRegistry",
     "P2Quantile",
-    "ProfiledTracer",
     "Profiler",
     "RETRY_BUCKETS",
     "SCHEMA_ID",

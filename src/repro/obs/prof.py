@@ -21,11 +21,13 @@ Two attribution modes:
   pure functions of the simulated run, so two profiles of the same
   seeded run are byte-identical (the reproducible mode CI can diff).
 
-Like the tracer, the profiler is strictly opt-in: the engine holds
-``prof=None`` by default, every hook sits behind one ``is not None``
-check, and an attached profiler never touches the virtual clock or any
-RNG stream — a profiled run produces bit-identical results (see
-``tests/obs/test_prof.py``).
+The engines never call a profiler directly: it reaches them inside an
+:class:`~repro.obs.instrument.Instrument`, which wraps each collaborator
+call in its section once, at engine construction, and charges each
+event's virtual cycles at the event site.  An unprofiled, untraced
+engine holds no instrument at all, and an attached profiler never
+touches the virtual clock or any RNG stream — a profiled run produces
+bit-identical results (see ``tests/obs/test_prof.py``).
 
 Section name inventory (dotted, component first):
 
@@ -178,27 +180,6 @@ class Profiler:
             "sections": {name: stat.to_dict()
                          for name, stat in sorted(self.sections.items())},
         }
-
-
-class ProfiledTracer:
-    """Tracer wrapper charging emission cost to the ``obs.trace`` section.
-
-    The engine installs this automatically when it is handed both a
-    tracer and a profiler, so "tracing itself" shows up as its own line
-    in the self-time table.
-    """
-
-    def __init__(self, inner, prof: Profiler):
-        self._inner = inner
-        self._prof = prof
-
-    def emit(self, event) -> None:
-        self._prof.push("obs.trace")
-        self._inner.emit(event)
-        self._prof.pop()
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ per-operation access, lock block/wake, validation entry, commit install,
 abort, and completion — all stamped in *virtual cycles* on the simulated
 clock, so a saved trace replays the exact interleaving the run executed.
 
-Tracing is strictly opt-in: the engine holds ``tracer=None`` by default
-and guards every emission behind a single ``is not None`` check, so a
-disabled tracer costs nothing and cannot perturb the simulation (events
-never touch the clock or any RNG stream — see
+Tracing is strictly opt-in: a tracer reaches the engine inside its one
+:class:`~repro.obs.instrument.Instrument`, which is None when there is
+neither a tracer nor a profiler, so a disabled tracer costs one
+``is not None`` test per event site and cannot perturb the simulation
+(events never touch the clock or any RNG stream — see
 ``tests/obs/test_tracing.py`` for the byte-identical-result check).
 
 Event kinds (the ``kind`` field; see docs/observability.md for the full

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from ..common.config import ExperimentConfig, ServeConfig
 from ..common.rng import Rng
 from ..core.tskd import TSKD, ExecutionPlan, execute_phases
+from ..obs.instrument import Instrument
 from ..sim.engine import MulticoreEngine, PhaseResult, merge_phase_results
 from ..sim.fastengine import make_engine
 from ..sim.stream import assign_least_loaded
@@ -131,17 +132,14 @@ class EpochExecutor:
         #: Optional span sink: engine events stream into it across every
         #: epoch, and execute() adds one "epoch" event per epoch so the
         #: Chrome exporter can draw the epoch track (repro trace --chrome).
-        self.tracer = tracer
         self.engine = make_engine(
             exp.sim,
             db=self.db,
             dispatch_filter=tsdefer,
             progress_hooks=fan_out(tsdefer, self.policy, self.commit_log),
-            tracer=tracer,
+            instrument=Instrument.of(tracer),
         )
         self.commit_log.bind(self.engine)
-        if tsdefer is not None:
-            tsdefer.table.bind_buffers(self.engine.buffer_of)
         self.tsdefer = tsdefer
         #: Virtual-clock cursor: each epoch starts where the last ended.
         self.clock = 0
@@ -220,16 +218,14 @@ class EpochExecutor:
                 key=lambda t: t.tid,
             )
         self._install_canonical(canonical)
-        if self.tracer is not None:
-            from ..obs.tracing import TraceEvent
-
+        if self.engine.instrument is not None:
             # Stamped at the epoch's end cycle so the span log's clock
             # stays monotone (engine events of this epoch precede it).
-            self.tracer.emit(TraceEvent(
-                t=result.end_time, thread=0, kind="epoch", tid=-1,
-                attrs={"epoch": epoch_id, "start_cycles": start,
-                       "committed": len(self.commit_log.attempts),
-                       "aborts": result.counters.aborts}))
+            self.engine.instrument.event(
+                result.end_time, 0, "epoch", -1,
+                {"epoch": epoch_id, "start_cycles": start,
+                 "committed": len(self.commit_log.attempts),
+                 "aborts": result.counters.aborts})
         if self.policy is not None:
             dispatched = sum(len(buf) for phase in plan.phases
                              for buf in phase)

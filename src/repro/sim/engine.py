@@ -48,8 +48,7 @@ from ..common.stats import Counters
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultEvent
 from ..faults.policies import make_policy
-from ..obs.prof import ProfiledTracer, Profiler
-from ..obs.tracing import TraceEvent, Tracer
+from ..obs.instrument import Instrument
 from ..storage.database import Database
 from ..txn.operation import Key, OpKind
 from ..txn.transaction import Transaction
@@ -58,20 +57,26 @@ from ..txn.transaction import Transaction
 #: livelocked, which the test suite treats as a bug.
 MAX_RETRIES = 10_000
 
-#: Profiler section charged for a step event, keyed by the phase the
-#: thread is in when the event pops (spurious wakeups of parked phases
-#: are loop bookkeeping, not engine work).
-_PHASE_SECTIONS = {
-    "dispatch": "engine.dispatch",
-    "op": "engine.op",
-    "precommit": "engine.precommit",
-    "commit": "engine.commit",
-    "finish": "engine.finish",
-    "idle": "engine.loop",
-    "blocked": "engine.loop",
-    "gated": "engine.loop",
-    "crashed": "engine.loop",
+#: Profiler section of each engine method a profiled engine times:
+#: the event loop, arrivals, fault application, aborts, and the phase
+#: handler a step event runs.  Protocol calls are timed as
+#: ``cc.<proto>.<hook>`` (see ``_CC_SECTIONS``).
+_ENGINE_SECTIONS = {
+    "_drain": "engine.loop",
+    "_handle_arrival": "engine.arrival",
+    "_apply_fault": "faults.apply",
+    "_abort": "engine.abort",
+    "_do_dispatch": "engine.dispatch",
+    "_do_op": "engine.op",
+    "_do_precommit": "engine.precommit",
+    "_do_commit": "engine.commit",
+    "_do_finish": "engine.finish",
 }
+
+#: CC protocol hook -> the last part of its ``cc.<proto>.*`` section.
+_CC_SECTIONS = {"begin": "begin", "on_access": "access",
+                "pre_commit": "precommit", "on_commit": "validate",
+                "install": "install", "cleanup": "cleanup"}
 
 
 @dataclass
@@ -120,7 +125,9 @@ class DispatchFilter(Protocol):
     """TsDEFER's hook: inspect the next transaction before it runs.
 
     Returns ``(defer, cost_cycles)``; when ``defer`` is true the engine
-    moves the transaction to the back of the thread's buffer.
+    moves the transaction to the back of the thread's buffer.  A filter
+    may also define ``bind(engine)``, which the engine calls once at
+    construction (as it calls ``protocol.bind``).
     """
 
     def filter(self, thread_id: int, txn: Transaction, now: int) -> tuple[bool, int]: ...
@@ -239,9 +246,8 @@ class MulticoreEngine:
         dispatch_gate: "Optional[DispatchGate]" = None,
         versions: Optional[dict] = None,
         history: Optional[list] = None,
-        tracer: Optional[Tracer] = None,
         faults: Optional[FaultInjector] = None,
-        prof: Optional[Profiler] = None,
+        instrument: Optional[Instrument] = None,
     ):
         self.config = config
         self.db = db if db is not None else Database()
@@ -250,11 +256,11 @@ class MulticoreEngine:
         self.progress_hooks = progress_hooks
         self.record_history = record_history
         self.apply_writes = apply_writes and db is not None
-        #: Optional structured-span sink (repro.obs).  Every emission is
-        #: guarded by one ``is not None`` check and never touches the
-        #: clock or any RNG stream, so a disabled tracer is free and a
-        #: traced run is bit-identical to an untraced one.
-        self.tracer = tracer
+        #: Optional tracer/profiler hook (repro.obs.instrument).  Every
+        #: event site is one ``is not None`` test and the instrument never
+        #: touches the clock or any RNG stream, so an instrumented run is
+        #: bit-identical to a bare one.
+        self.instrument = instrument
         #: Precedence gate for enforced CC-free execution (optional).
         self.dispatch_gate = dispatch_gate
         #: Shared committed-version store (one word per key); pass an
@@ -281,23 +287,6 @@ class MulticoreEngine:
         #: Optional fault-timeline cursor (repro.faults); an injector over
         #: an empty plan is inert and leaves the run byte-identical.
         self.faults = faults
-        #: Optional section profiler (repro.obs.prof).  Same contract as
-        #: the tracer: every touch is behind one ``is not None`` check and
-        #: nothing here reads the virtual clock or any RNG stream, so a
-        #: profiled run schedules bit-identically to an unprofiled one.
-        self.prof = prof
-        if prof is not None and self.tracer is not None:
-            # Account tracer emission time to ``obs.trace`` so tracing
-            # overhead shows up in the self-time table instead of
-            # polluting whichever engine section emitted the event.
-            self.tracer = ProfiledTracer(self.tracer, prof)
-        cc = self.protocol.name
-        self._sec_cc_begin = f"cc.{cc}.begin"
-        self._sec_cc_access = f"cc.{cc}.access"
-        self._sec_cc_precommit = f"cc.{cc}.precommit"
-        self._sec_cc_validate = f"cc.{cc}.validate"
-        self._sec_cc_install = f"cc.{cc}.install"
-        self._sec_cc_cleanup = f"cc.{cc}.cleanup"
         self._events: list[tuple[int, int, int]] = []
         self._seq = 0
         self._txn_seq = 0
@@ -311,6 +300,20 @@ class MulticoreEngine:
         #: or a defer_coldest migration), so retry statistics survive the
         #: move to another thread's buffer.
         self._carry_attempts: dict[int, int] = {}
+        if instrument is not None:
+            # Under a profiler, collaborator calls run inside their
+            # sections from here on; without one nothing is wrapped.
+            cc = self.protocol.name
+            instrument.wrap(self.protocol, **{
+                hook: f"cc.{cc}.{part}"
+                for hook, part in _CC_SECTIONS.items()})
+            instrument.wrap(self, **_ENGINE_SECTIONS)
+            if dispatch_filter is not None:
+                instrument.wrap(dispatch_filter, filter="tsdefer.filter")
+        if dispatch_filter is not None and hasattr(dispatch_filter, "bind"):
+            # TsDEFER wires its progress table to this engine's buffers,
+            # fault windows and profiler (TsDefer.bind).
+            dispatch_filter.bind(self)
 
     # ------------------------------------------------------------------
     # public API
@@ -333,10 +336,9 @@ class MulticoreEngine:
             return
         waited = now - thread.active.blocked_since
         self._counters.blocked_cycles += waited
-        if self.tracer is not None:
-            self.tracer.emit(TraceEvent(now, thread_id, "wake",
-                                        thread.active.txn.tid,
-                                        {"waited": waited}))
+        if self.instrument is not None:
+            self.instrument.event(now, thread_id, "wake",
+                                  thread.active.txn.tid, {"waited": waited})
         thread.phase = "op"
         self._schedule(now, thread_id)
 
@@ -414,11 +416,6 @@ class MulticoreEngine:
         every per-phase handler unchanged.
         """
         end_time = start_time
-        prof = self.prof
-        if prof is not None:
-            # Heap pops, seq guards, and everything not attributed to a
-            # finer section below lands in ``engine.loop`` self-time.
-            prof.push("engine.loop")
         while self._events:
             # Lazily interleave the fault timeline: fire every injected
             # fault stamped at or before the next engine event.  Faults
@@ -428,38 +425,21 @@ class MulticoreEngine:
                 ev = self.faults.pop_due(self._events[0][0])
                 if ev is not None:
                     self._now = max(ev.when, self._now)
-                    if prof is None:
-                        self._apply_fault(ev, self._now)
-                    else:
-                        prof.push("faults.apply")
-                        self._apply_fault(ev, self._now)
-                        prof.pop()
+                    self._apply_fault(ev, self._now)
                     continue
             when, seq, thread_id = heapq.heappop(self._events)
             self._now = when
             end_time = max(end_time, when)
             payload = self._arrival_payload.pop(seq, None)
             if payload is not None:
-                if prof is None:
-                    self._handle_arrival(payload[0], payload[1], when)
-                else:
-                    prof.push("engine.arrival")
-                    self._handle_arrival(payload[0], payload[1], when)
-                    prof.pop()
+                self._handle_arrival(payload[0], payload[1], when)
             else:
                 thread = self._threads[thread_id]
                 # A mismatched seq means this event was superseded by a
                 # fault; with no faults the single-outstanding-event
                 # invariant makes the guard a no-op.
                 if seq == thread.pending_seq:
-                    if prof is None:
-                        self._step(thread, when)
-                    else:
-                        prof.push(_PHASE_SECTIONS[thread.phase])
-                        self._step(thread, when)
-                        prof.pop()
-        if prof is not None:
-            prof.pop()
+                    self._step(thread, when)
         return end_time
 
     # ------------------------------------------------------------------
@@ -531,27 +511,18 @@ class MulticoreEngine:
             return
         txn = thread.buffer.popleft()
         cost = self.config.dispatch_cost
-        prof = self.prof
-        if prof is not None:
-            prof.add_vcycles("engine.dispatch", cost)
+        filter_cost = None
         if self.dispatch_filter is not None:
-            if prof is None:
-                defer, filter_cost = self.dispatch_filter.filter(
-                    thread.id, txn, now)
-            else:
-                prof.push("tsdefer.filter")
-                defer, filter_cost = self.dispatch_filter.filter(
-                    thread.id, txn, now)
-                prof.pop()
-                prof.add_vcycles("tsdefer.filter", filter_cost)
+            defer, filter_cost = self.dispatch_filter.filter(
+                thread.id, txn, now)
             cost += filter_cost
             if defer and thread.buffer:
                 thread.buffer.append(txn)
                 self._counters.deferrals += 1
                 thread.busy += cost
-                if self.tracer is not None:
-                    self.tracer.emit(TraceEvent(now, thread.id, "defer",
-                                                txn.tid, {"cost": cost}))
+                if self.instrument is not None:
+                    self.instrument.defer(now, thread.id, txn.tid, cost,
+                                          filter_cost)
                 self._schedule(now + cost, thread.id)
                 return
         self._txn_seq += 1
@@ -567,42 +538,30 @@ class MulticoreEngine:
         thread.phase = "op"
         if self.progress_hooks is not None:
             self.progress_hooks.on_dispatch(thread.id, txn, now)
-        if self.tracer is not None:
-            self.tracer.emit(TraceEvent(now, thread.id, "dispatch", txn.tid,
-                                        {"ts": active.ts,
-                                         "ops": len(txn.ops)}))
+        if self.instrument is not None:
+            self.instrument.dispatch(now, thread.id, txn.tid, active.ts,
+                                     len(txn.ops), cost, filter_cost)
         self._schedule(now + cost, thread.id)
 
     def _do_op(self, thread: _Thread, now: int) -> None:
         active = thread.active
-        prof = self.prof
         if active.op_index == 0 and "_begun" not in active.ctx:
             # Attempt start: snapshot-taking protocols refresh here, so a
             # retry never re-reads from a stale snapshot.
             active.ctx["_begun"] = True
-            if prof is None:
-                self.protocol.begin(active, now)
-            else:
-                prof.push(self._sec_cc_begin)
-                self.protocol.begin(active, now)
-                prof.pop()
+            self.protocol.begin(active, now)
         op = active.txn.ops[active.op_index]
-        if prof is None:
-            result = self.protocol.on_access(active, op, now)
-        else:
-            prof.push(self._sec_cc_access)
-            result = self.protocol.on_access(active, op, now)
-            prof.pop()
+        result = self.protocol.on_access(active, op, now)
         if result.status is AccessStatus.ABORT:
             self._abort(thread, now, reason=result.reason or "access conflict")
             return
         if result.status is AccessStatus.WAIT:
             active.blocked_since = now
             thread.phase = "blocked"
-            if self.tracer is not None:
-                self.tracer.emit(TraceEvent(
+            if self.instrument is not None:
+                self.instrument.event(
                     now, thread.id, "block", active.txn.tid,
-                    {"op": active.op_index, "key": repr(op.record_key)}))
+                    {"op": active.op_index, "key": repr(op.record_key)})
             return
         key = op.record_key
         if (not op.is_write and key not in active.write_buffer
@@ -612,16 +571,12 @@ class MulticoreEngine:
             # version observed first is the one the transaction saw.
             # Multi-version protocols report their snapshot's version.
             active.reads_log[key] = self.protocol.read_version(active, key)
-        if self.tracer is not None:
-            self.tracer.emit(TraceEvent(
-                now, thread.id, "op", active.txn.tid,
-                {"op": active.op_index, "key": repr(key),
-                 "rw": "w" if op.is_write else "r"}))
+        op_cycles = self.config.op_cost + self.config.cc_op_overhead
+        if self.instrument is not None:
+            self.instrument.op(now, thread.id, active.txn.tid,
+                               active.op_index, key, op.is_write, op_cycles)
         active.op_index += 1
-        if prof is not None:
-            prof.add_vcycles("engine.op",
-                             self.config.op_cost + self.config.cc_op_overhead)
-        op_done = now + self.config.op_cost + self.config.cc_op_overhead
+        op_done = now + op_cycles
         if active.op_index < len(active.txn.ops):
             self._schedule(op_done, thread.id)
         else:
@@ -634,45 +589,29 @@ class MulticoreEngine:
             self._schedule(max(op_done, bound), thread.id)
 
     def _do_precommit(self, thread: _Thread, now: int) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(TraceEvent(now, thread.id, "validate",
-                                        thread.active.txn.tid))
-        prof = self.prof
-        if prof is None:
-            ok = self.protocol.pre_commit(thread.active, now)
-        else:
-            prof.push(self._sec_cc_precommit)
-            ok = self.protocol.pre_commit(thread.active, now)
-            prof.pop()
+        ok = self.protocol.pre_commit(thread.active, now)
+        if self.instrument is not None:
+            # A failed pre-commit aborts: no commit work to charge.
+            self.instrument.event(now, thread.id, "validate",
+                                  thread.active.txn.tid, {},
+                                  "engine.commit" if ok else None,
+                                  self.config.commit_overhead)
         if not ok:
             self._abort(thread, now, reason="pre-commit lock conflict")
             return
         thread.phase = "commit"
-        if prof is not None:
-            prof.add_vcycles("engine.commit", self.config.commit_overhead)
         self._schedule(now + self.config.commit_overhead, thread.id)
 
     def _do_commit(self, thread: _Thread, now: int) -> None:
         active = thread.active
-        prof = self.prof
-        if prof is None:
-            ok = self.protocol.on_commit(active, now)
-        else:
-            prof.push(self._sec_cc_validate)
-            ok = self.protocol.on_commit(active, now)
-            prof.pop()
+        ok = self.protocol.on_commit(active, now)
         if not ok:
             self._abort(thread, now, reason="validation failed")
             return
         # Validation passed: install atomically at this instant.
         if self.record_history:
             reads = tuple(sorted(active.reads_log.items(), key=lambda kv: repr(kv[0])))
-        if prof is None:
-            self.protocol.install(active, now)
-        else:
-            prof.push(self._sec_cc_install)
-            self.protocol.install(active, now)
-            prof.pop()
+        self.protocol.install(active, now)
         if self.apply_writes:
             self._apply_writes(active)
         if self.record_history:
@@ -685,27 +624,20 @@ class MulticoreEngine:
                                 start_time=active.attempt_start)
             )
         self._counters.committed += 1
-        if self.tracer is not None:
-            self.tracer.emit(TraceEvent(now, thread.id, "commit",
-                                        active.txn.tid,
-                                        {"writes": len(active.write_buffer)}))
         thread.phase = "finish"
         stall = active.txn.io_delay_cycles
         if self.faults is not None:
             stall += self.faults.io_extra(now)
-        if prof is not None:
-            prof.add_vcycles("engine.finish", stall)
+        if self.instrument is not None:
+            self.instrument.event(now, thread.id, "commit", active.txn.tid,
+                                  {"writes": len(active.write_buffer)},
+                                  "engine.finish", stall)
         self._schedule(now + stall, thread.id)
 
     def _do_finish(self, thread: _Thread, now: int) -> None:
         active = thread.active
         # Strict through the commit stall: locks release only now.
-        if self.prof is None:
-            self.protocol.cleanup(active, True, now)
-        else:
-            self.prof.push(self._sec_cc_cleanup)
-            self.protocol.cleanup(active, True, now)
-            self.prof.pop()
+        self.protocol.cleanup(active, True, now)
         if self.progress_hooks is not None:
             self.progress_hooks.on_commit(thread.id, active.txn, now)
         if self.faults is not None:
@@ -715,11 +647,10 @@ class MulticoreEngine:
         latency = now - born
         self._latencies.append(latency)
         self._retry_counts.append(active.attempt)
-        if self.tracer is not None:
-            self.tracer.emit(TraceEvent(now, thread.id, "finish",
-                                        active.txn.tid,
-                                        {"attempts": active.attempt,
-                                         "latency": latency}))
+        if self.instrument is not None:
+            self.instrument.event(now, thread.id, "finish", active.txn.tid,
+                                  {"attempts": active.attempt,
+                                   "latency": latency})
         thread.active = None
         thread.phase = "dispatch"
         if thread.crash_pending:
@@ -731,25 +662,8 @@ class MulticoreEngine:
         self._schedule(now, thread.id)
 
     def _abort(self, thread: _Thread, now: int, reason: str = "") -> None:
-        prof = self.prof
-        if prof is None:
-            self._abort_now(thread, now, reason)
-            return
-        # Wrapper keeps the section stack balanced across the body's
-        # multiple return paths.
-        prof.push("engine.abort")
-        self._abort_now(thread, now, reason)
-        prof.pop()
-
-    def _abort_now(self, thread: _Thread, now: int, reason: str = "") -> None:
         active = thread.active
-        prof = self.prof
-        if prof is None:
-            self.protocol.cleanup(active, False, now)
-        else:
-            prof.push(self._sec_cc_cleanup)
-            self.protocol.cleanup(active, False, now)
-            prof.pop()
+        self.protocol.cleanup(active, False, now)
         self._counters.aborts += 1
         self._counters.wasted_cycles += now - active.attempt_start
         active.attempt += 1
@@ -760,14 +674,17 @@ class MulticoreEngine:
         decision = self.restart_policy.on_abort(active, now)
         restart = decision.restart_at
         target = decision.requeue_thread
-        if self.tracer is not None:
+        migrate = target is not None and target != thread.id
+        if self.instrument is not None:
             attrs = {"attempt": active.attempt, "reason": reason,
                      "restart": restart}
             if target is not None:
                 attrs["requeue"] = target
-            self.tracer.emit(TraceEvent(now, thread.id, "abort",
-                                        active.txn.tid, attrs))
-        if target is not None and target != thread.id:
+            # A migrating retry pays no restart wait on this thread.
+            self.instrument.event(now, thread.id, "abort", active.txn.tid,
+                                  attrs, "engine.abort",
+                                  0 if migrate else max(0, restart - now))
+        if migrate:
             # Migrate the retry: the transaction travels to the target
             # thread's buffer with its attempt count and birth time, and
             # this thread moves on to its next buffered transaction.
@@ -781,8 +698,6 @@ class MulticoreEngine:
             self._requeue(restart, target, active.txn)
             self._schedule(now, thread.id)
             return
-        if prof is not None:
-            prof.add_vcycles("engine.abort", max(0, restart - now))
         active.reset_attempt(restart)
         thread.phase = "op"
         self._schedule(restart, thread.id)
@@ -805,11 +720,10 @@ class MulticoreEngine:
             # through io_extra() / probe_corrupt() point queries.
             applied = True
         self.faults.record(ev, applied, now)
-        if self.tracer is not None:
-            self.tracer.emit(TraceEvent(
-                now, max(ev.thread, 0), "fault", tid,
-                {"fault": ev.kind, "applied": applied,
-                 "duration": ev.duration}))
+        if self.instrument is not None:
+            self.instrument.event(now, max(ev.thread, 0), "fault", tid,
+                                  {"fault": ev.kind, "applied": applied,
+                                   "duration": ev.duration})
 
     def _fault_abort(self, thread: _Thread, now: int) -> bool:
         """Poison whatever ``thread`` is executing; it retries as usual."""
@@ -860,7 +774,9 @@ class MulticoreEngine:
                 if cancel is not None:
                     cancel(active, active.txn.ops[active.op_index])
                 self._counters.blocked_cycles += now - active.blocked_since
-            self.protocol.cleanup(active, False, now)
+            # Crash cleanup is fault application, timed as faults.apply:
+            # the class's method bypasses a profiler's cleanup wrapper.
+            type(self.protocol).cleanup(self.protocol, active, False, now)
             self._counters.aborts += 1
             self._counters.wasted_cycles += now - active.attempt_start
             active.attempt += 1

@@ -31,12 +31,16 @@ enforces this across the full protocol × workload × fault grid, and the
 golden digests in ``tests/bench/test_regression_series.py`` pin both
 engines to the same Series payloads.
 
-Profiling: a profiled fast run pushes the same section names as the
-reference engine (``engine.op``, ``cc.<proto>.access``, ...).  A batched
-advance charges its wall time to one ``engine.op`` push and restores the
-per-op call count via :meth:`~repro.obs.prof.Profiler.count`, and
-virtual-cycle attribution (`add_vcycles`) is per-op identical, so
-``docs/perf.md`` tables stay comparable across engines.
+Instrumentation: events go through the same
+:class:`~repro.obs.instrument.Instrument` calls as in the reference
+engine, and a profiled engine's protocol, filter and rare-phase handlers
+are wrapped in their sections at construction, so a profiled fast run
+reports the same section names (``engine.op``, ``cc.<proto>.access``,
+...).  The inlined op loop is the one place that keeps its own
+``engine.op`` accounting: one section push per entry, plus a call count
+per batched advance via :meth:`~repro.obs.prof.Profiler.count`, so call
+counts and virtual cycles are per-op identical and ``docs/perf.md``
+tables stay comparable across engines.
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ import heapq
 from ..cc.base import AccessStatus
 from ..cc.occ import OccProtocol
 from ..common.config import SimConfig
-from ..obs.tracing import TraceEvent
-from .engine import MulticoreEngine, _PHASE_SECTIONS
+from .engine import MulticoreEngine
 
 
 class FastEngine(MulticoreEngine):
@@ -64,8 +67,8 @@ class FastEngine(MulticoreEngine):
         on_access = protocol.on_access
         read_version = protocol.read_version
         begin = protocol.begin
-        tracer = self.tracer
-        prof = self.prof
+        inst = self.instrument
+        prof = inst.prof if inst is not None else None
         faults = self.faults
         poll_faults = faults is not None
         # Batched advance would step over the fault poll at the loop head
@@ -75,29 +78,22 @@ class FastEngine(MulticoreEngine):
         op_total = config.op_cost + config.cc_op_overhead
         # Inline the OCC access hook only for exactly OccProtocol; any
         # subclass (Silo, TicToc, ...) overrides behaviour and takes the
-        # generic call.  Under a profiler the generic path is kept too so
-        # cc.<proto>.access wall time is attributed as in the reference.
-        occ_fast = type(protocol) is OccProtocol and prof is None
+        # generic call.  A profiled engine wrapped on_access in its
+        # cc.<proto>.access section, so a wrapped hook is called too.
+        occ_fast = (type(protocol) is OccProtocol
+                    and "on_access" not in vars(protocol))
         versions_get = self.versions.get
+        step = self._step
         OK = AccessStatus.OK
         ABORT = AccessStatus.ABORT
-        sec_access = self._sec_cc_access
-        sec_begin = self._sec_cc_begin
 
         end_time = start_time
-        if prof is not None:
-            prof.push("engine.loop")
         while events:
             if poll_faults:
                 ev = faults.pop_due(events[0][0])
                 if ev is not None:
                     self._now = max(ev.when, self._now)
-                    if prof is None:
-                        self._apply_fault(ev, self._now)
-                    else:
-                        prof.push("faults.apply")
-                        self._apply_fault(ev, self._now)
-                        prof.pop()
+                    self._apply_fault(ev, self._now)
                     continue
             when, seq, thread_id = heappop(events)
             self._now = when
@@ -106,24 +102,13 @@ class FastEngine(MulticoreEngine):
             if arrival_payload:
                 payload = arrival_payload.pop(seq, None)
                 if payload is not None:
-                    if prof is None:
-                        self._handle_arrival(payload[0], payload[1], when)
-                    else:
-                        prof.push("engine.arrival")
-                        self._handle_arrival(payload[0], payload[1], when)
-                        prof.pop()
+                    self._handle_arrival(payload[0], payload[1], when)
                     continue
             thread = threads[thread_id]
             if seq != thread.pending_seq:
                 continue
-            phase = thread.phase
-            if phase != "op":
-                if prof is None:
-                    self._step(thread, when)
-                else:
-                    prof.push(_PHASE_SECTIONS[phase])
-                    self._step(thread, when)
-                    prof.pop()
+            if thread.phase != "op":
+                step(thread, when)
                 continue
 
             # ---- inlined op phase (the hot path) ----------------------
@@ -143,12 +128,7 @@ class FastEngine(MulticoreEngine):
                     # Attempt start: snapshot-taking protocols refresh
                     # here, so a retry never re-reads a stale snapshot.
                     active.ctx["_begun"] = True
-                    if prof is None:
-                        begin(active, now)
-                    else:
-                        prof.push(sec_begin)
-                        begin(active, now)
-                        prof.pop()
+                    begin(active, now)
                 op = ops[idx]
                 # Operation is the tuple (kind, table, key, value,
                 # record_key, is_write): one unpack, no attribute calls.
@@ -161,12 +141,7 @@ class FastEngine(MulticoreEngine):
                     if is_write:
                         write_buffer[key] = value
                 else:
-                    if prof is None:
-                        result = on_access(active, op, now)
-                    else:
-                        prof.push(sec_access)
-                        result = on_access(active, op, now)
-                        prof.pop()
+                    result = on_access(active, op, now)
                     status = result.status
                     if status is not OK:
                         if status is ABORT:
@@ -176,10 +151,9 @@ class FastEngine(MulticoreEngine):
                         else:  # WAIT
                             active.blocked_since = now
                             thread.phase = "blocked"
-                            if tracer is not None:
-                                tracer.emit(TraceEvent(
-                                    now, thread_id, "block", txn.tid,
-                                    {"op": idx, "key": repr(key)}))
+                            if inst is not None:
+                                inst.event(now, thread_id, "block", txn.tid,
+                                           {"op": idx, "key": repr(key)})
                         break
                 if (not is_write and key not in write_buffer
                         and key not in reads_log):
@@ -191,14 +165,10 @@ class FastEngine(MulticoreEngine):
                         reads_log[key] = observed[key]
                     else:
                         reads_log[key] = read_version(active, key)
-                if tracer is not None:
-                    tracer.emit(TraceEvent(
-                        now, thread_id, "op", txn.tid,
-                        {"op": idx, "key": repr(key),
-                         "rw": "w" if is_write else "r"}))
+                if inst is not None:
+                    inst.op(now, thread_id, txn.tid, idx, key, is_write,
+                            op_total)
                 active.op_index = idx = idx + 1
-                if prof is not None:
-                    prof.add_vcycles("engine.op", op_total)
                 op_done = now + op_total
                 if idx < nops:
                     if batching and (not events or events[0][0] > op_done):
@@ -231,8 +201,6 @@ class FastEngine(MulticoreEngine):
                 break
             if prof is not None:
                 prof.pop()
-        if prof is not None:
-            prof.pop()
         return end_time
 
 

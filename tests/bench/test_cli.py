@@ -57,6 +57,24 @@ class TestObservability:
         assert doc["workload"] == "ycsb"
         assert doc["run"]["name"] == "TSKD[S]"
 
+    def test_open_system_artifact_carries_run_metrics(self, capsys,
+                                                      tmp_path):
+        """An --offered-tps artifact has the batch run's registry."""
+        from repro.obs import load_artifact
+
+        out_path = tmp_path / "open.json"
+        code, _ = run_cli(capsys, "run", *SMALL, "--system", "tskd-cc",
+                          "--offered-tps", "200000",
+                          "--export-json", str(out_path))
+        assert code == 0
+        doc = load_artifact(out_path)
+        counters = doc["metrics"]["counters"]
+        assert counters["engine.committed"] == doc["run"]["committed"] == 120
+        assert any(n.startswith("cc.") for n in counters)
+        assert any(n.startswith("tsdefer.") for n in counters)
+        assert doc["metrics"]["gauges"]["run.throughput_txn_s"] > 0
+        assert "open_system" in doc
+
     def test_trace_then_replay(self, capsys, tmp_path):
         trace_path = tmp_path / "run.trace.jsonl"
         code, out = run_cli(capsys, "run", *SMALL, "--system", "dbcc",

@@ -7,14 +7,13 @@ from repro.common.config import ExperimentConfig, SimConfig, YcsbConfig
 from repro.bench.workloads import YcsbGenerator
 from repro.obs.prof import (
     ROOT_SECTION,
-    ProfiledTracer,
     Profiler,
     activate_profiler,
     deactivate_profiler,
     get_active_profiler,
 )
 from repro.obs.report import render_profile
-from repro.obs.tracing import ListTracer, TraceEvent
+from repro.obs.tracing import ListTracer
 
 EXP = ExperimentConfig(sim=SimConfig(num_threads=4), bundle_size=120, seed=3)
 
@@ -97,17 +96,21 @@ class TestProfilerUnit:
         assert get_active_profiler() is None
 
 
-class TestProfiledTracer:
-    def test_emit_delegates_and_charges_obs_trace(self):
-        inner = ListTracer()
+class TestTracedAndProfiledRun:
+    def test_every_emission_charges_obs_trace(self):
+        """With both sinks, each span event is one obs.trace section
+        call, and the span stream is the traced-only run's stream."""
+        w = small_workload()
+        plain = ListTracer()
+        run_system(w, make_system("tskd-cc"), EXP, tracer=plain)
+        traced = ListTracer()
         p = Profiler(timing=False)
         p.start()
-        tracer = ProfiledTracer(inner, p)
-        tracer.emit(TraceEvent(t=1, thread=0, kind="commit", tid=7))
-        tracer.close()
+        run_system(w, make_system("tskd-cc"), EXP, tracer=traced, prof=p)
         p.stop()
-        assert len(inner.events) == 1 and inner.events[0].tid == 7
-        assert p.to_dict()["sections"]["obs.trace"]["calls"] == 1
+        assert traced.events and traced.events == plain.events
+        assert p.to_dict()["sections"]["obs.trace"]["calls"] \
+            == len(traced.events)
 
 
 class TestProfiledRun:

@@ -10,6 +10,7 @@ pins that contract across:
 * every registered CC protocol x YCSB / TPC-C (via the DBCC baseline);
 * the TSKD variants and the partitioner baselines (Strife, Schism);
 * chaos plans (every fault kind) x every restart policy;
+* span streams and virtual profiles of traced and profiled runs;
 * a Hypothesis-driven random-configuration case.
 
 The artifact digest comparison hashes both artifacts against the *same*
@@ -31,6 +32,8 @@ from repro.common.config import RESTART_POLICIES
 from repro.common.hashing import config_hash
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs.artifact import build_artifact
+from repro.obs.prof import Profiler
+from repro.obs.tracing import ListTracer
 from repro.sim import FastEngine, MulticoreEngine, make_engine
 
 
@@ -131,6 +134,44 @@ class TestFaultGrid:
         # disabled) and must stay inert under both engines.
         fast, ref, exp = run_pair(ycsb(), "dbcc", fault_plan=FaultPlan.none())
         assert_equivalent(fast, ref, exp)
+
+
+def instrumented(workload, system, engine, fault_plan=None, **sim_kw):
+    """Span streams of a traced run and of a traced, profiled run, plus
+    the latter's virtual profile (calls and vcycles per section)."""
+    exp = ExperimentConfig(sim=SimConfig(num_threads=4, engine=engine,
+                                         **sim_kw))
+    traced = ListTracer()
+    run_system(workload, make_system(system), exp, tracer=traced,
+               fault_plan=fault_plan)
+    both = ListTracer()
+    prof = Profiler(timing=False)
+    prof.start()
+    run_system(workload, make_system(system), exp, tracer=both, prof=prof,
+               fault_plan=fault_plan)
+    prof.stop()
+    return traced.events, both.events, prof.to_dict()
+
+
+class TestInstrumentationGrid:
+    """Traces and virtual profiles are part of the contract: a traced
+    fast run keeps its inlined OCC path, a profiled one calls the
+    wrapped protocol, and both must match the reference event for event
+    and section for section."""
+
+    @pytest.mark.parametrize("cc", ["nowait", "occ", "silo", "waitdie"])
+    @pytest.mark.parametrize("system", ["dbcc", "tskd-cc", "tskd-s"])
+    def test_trace_and_profile_equivalence(self, system, cc):
+        fast = instrumented(ycsb(), system, "fast", cc=cc)
+        ref = instrumented(ycsb(), system, "reference", cc=cc)
+        assert fast[0] and fast[0] == fast[1]
+        assert fast == ref
+
+    def test_chaos_trace_and_profile_equivalence(self):
+        plan = FaultPlan.compile(CHAOS, 4)
+        fast = instrumented(ycsb(), "tskd-cc", "fast", fault_plan=plan)
+        ref = instrumented(ycsb(), "tskd-cc", "reference", fault_plan=plan)
+        assert fast == ref
 
 
 class TestEngineSelection:
