@@ -9,7 +9,6 @@ paper's workload extensions rely on.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterable, Sequence, TypeVar
 
@@ -60,41 +59,6 @@ class Rng:
         """Sample ``min(n, len(seq))`` distinct elements."""
         n = min(n, len(seq))
         return self._r.sample(seq, n)
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """Draw-for-draw equivalent of ``sample(range(n), k)``.
-
-        The progress table issues this draw on every probe, against every
-        remote thread, so the per-call overhead of ``random.sample`` (ABC
-        dispatch, population copy) is hot.  This reimplements CPython's
-        selection algorithm verbatim — partial-shuffle pool below the
-        documented setsize cutover, set-based rejection above it — so the
-        stream of underlying ``getrandbits`` draws, and hence every
-        artifact digest, is bit-identical to the generic call.  Guarded
-        against stdlib drift by tests/property/test_prop_structures.py.
-        """
-        k = min(k, n)
-        randbelow = self._r._randbelow
-        result = [0] * k
-        setsize = 21  # size of a small set minus size of an empty list
-        if k > 5:
-            setsize += 4 ** math.ceil(math.log(k * 3, 4))
-        if n <= setsize:
-            pool = list(range(n))
-            for i in range(k):
-                j = randbelow(n - i)
-                result[i] = pool[j]
-                pool[j] = pool[n - i - 1]
-        else:
-            selected: set[int] = set()
-            selected_add = selected.add
-            for i in range(k):
-                j = randbelow(n)
-                while j in selected:
-                    j = randbelow(n)
-                selected_add(j)
-                result[i] = j
-        return result
 
     def uniform(self, lo: float, hi: float) -> float:
         return self._r.uniform(lo, hi)
@@ -161,16 +125,6 @@ class ZipfianGenerator:
 
     def sample(self, count: int) -> list[int]:
         return [self.next() for _ in range(count)]
-
-
-def scrambled_zipfian(gen: ZipfianGenerator, n: int) -> int:
-    """Draw a Zipfian value and scramble it over the domain.
-
-    YCSB scrambles the hot items across the key space so that hot keys are
-    not clustered; we use the same FNV-style hash.
-    """
-    v = gen.next()
-    return fnv_hash64(v) % n
 
 
 _FNV_OFFSET = 0xCBF29CE484222325

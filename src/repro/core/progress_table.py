@@ -38,6 +38,14 @@ from ..common.rng import Rng
 from ..txn.operation import Key
 from ..txn.transaction import Transaction
 
+#: The steps of random.sample's partial shuffle (its pool branch: at
+#: most 21 items, k <= 5) by (population, k): ``(bound, bits, last)`` per
+#: draw, an index below ``bound`` drawn from ``bits`` random bits.
+_SHUFFLES = tuple(
+    tuple(tuple((b, b.bit_length(), b - 1) for b in range(n, n - k, -1))
+          for k in range(min(n, 5) + 1))
+    for n in range(22))
+
 
 class ProgressTable:
     """Per-thread active-transaction slots with probing support."""
@@ -66,11 +74,18 @@ class ProgressTable:
         self._previous: list[Optional[Transaction]] = [None] * num_threads
         #: Predicted (visible) write set per tid, materialised once.
         self._visible: dict[int, list[Key]] = {}
-        #: Per-thread memo of the last probe space built, keyed by the
-        #: identity of (observed txn, buffered successor).  Spaces only
-        #: change when a thread dispatches/commits or its queue head
-        #: moves, so consecutive probes mostly hit.
-        self._space_cache: list[Optional[tuple]] = [None] * num_threads
+        #: Per-thread memos of the last probe space built, as (observed
+        #: txn, queue head, flat space): one for fresh observations, one
+        #: for stale or corrupted ones, so a stale read does not evict
+        #: the fresh space.  Spaces only change when a thread
+        #: dispatches/commits or its queue head moves, so consecutive
+        #: probes mostly hit.
+        self._fresh_spaces: list[tuple] = [
+            (None, None, []) for _ in range(num_threads)]
+        self._stale_spaces = list(self._fresh_spaces)
+        #: Remote threads in ascending order, per requester.
+        self._remotes = [tuple(j for j in range(num_threads) if j != r)
+                         for r in range(num_threads)]
         #: Optional callable thread_id -> upcoming transactions (queue
         #: beyond headp), enabling bounded future probing.
         self._buffer_reader = None
@@ -145,30 +160,6 @@ class ProgressTable:
             got = items
         return got
 
-    def _observed_txns(self, j: int, future_depth: int,
-                       now: int = 0) -> list[Transaction]:
-        """Transactions of thread j a probe may observe (headp onward)."""
-        txn = self._current[j]
-        # Corruption windows force the stale read *without* consuming a
-        # draw from the staleness stream, so runs outside windows (and
-        # all runs without an oracle) see the unperturbed stream.
-        if self._corrupt is not None and self._corrupt(now):
-            txn = self._previous[j]
-            self.corrupted_observations += 1
-        elif txn is not None and self._rng.chance(self._stale_prob):
-            txn = self._previous[j]
-            self.stale_observations += 1
-        elif txn is None and self._rng.chance(self._stale_prob):
-            txn = self._previous[j]
-            self.stale_observations += 1
-        observed = [] if txn is None else [txn]
-        if future_depth > 1 and self._buffer_reader is not None:
-            # islice, not list(): the remote buffer is a whole thread's
-            # backlog and the window only ever needs its first few items.
-            upcoming = self._buffer_reader(j)
-            observed.extend(islice(upcoming, future_depth - 1))
-        return observed
-
     def probe(
         self,
         requester: int,
@@ -189,17 +180,16 @@ class ProgressTable:
         Items come from *predicted write sets*, so staleness and
         access-set inaccuracy apply in both scopes.
         """
-        # One probe space per remote thread: the visible write sets of its
-        # observed transactions (headp plus bounded future), so the probe
-        # budget does not grow with future_depth.  This is the engine's
-        # hottest non-loop path (every TsDEFER dispatch probes every
-        # remote thread), so both passes below are hand-inlined versions
-        # of :meth:`_observed_txns` / ``random.sample`` with two
-        # invariants: the RNG draw stream is bit-identical to the
-        # original code (one staleness draw per remote thread first, then
-        # the sample draws per non-empty space, in thread order), and the
-        # linearised item order matches the old concatenated-list
-        # construction without copying keys.
+        # One flat probe space per remote thread: the visible write sets of
+        # its observed transactions (headp plus bounded future),
+        # concatenated, so the probe budget does not grow with
+        # future_depth.  This is the engine's hottest non-loop path (every
+        # TsDEFER dispatch probes every remote thread), so both passes are
+        # hand-inlined versions of the plain construction — one
+        # ``rng.chance(stale_prob)`` per remote thread, then
+        # ``random.sample`` per space — and draw the identical RNG stream:
+        # every staleness draw first, in ascending thread order, then the
+        # sample draws per non-empty space, in thread order.
         rng = self._rng
         uniform = rng._r.random
         getrandbits = rng._r.getrandbits
@@ -207,206 +197,118 @@ class ProgressTable:
         corrupt = self._corrupt
         current = self._current
         previous = self._previous
-        vis_cache = self._visible
-        visible_write_set = self.visible_write_set
         reader = self._buffer_reader if future_depth > 1 else None
         threads_view = self._threads_view if reader is not None else None
-        # future_depth=2 (the default) needs exactly one queued txn per
-        # thread; the engine's buffer view is a deque, so index it
-        # instead of building an islice per thread.
-        single_future = future_depth == 2
-
-        # Pass 1: staleness draws + space construction, ascending thread.
-        # A space is (first_segment, all_segments_or_None, total_len);
-        # the single-transaction case (the common one) skips the segment
-        # list entirely.  Spaces are memoised per thread on the identity
-        # of (observed txn, queue head): they change only when a remote
-        # thread dispatches, commits, or consumes its queue, so back-to-
-        # back probes reuse the previous construction.
-        cache = self._space_cache
-        cacheable = reader is None or single_future
-        spaces: list[tuple[list[Key], Optional[list[list[Key]]], int]] = []
+        # Pass 1: staleness draws and spaces, ascending thread.  Spaces
+        # are memoised per thread on the identity of (observed txn, queue
+        # head): they change only when a remote thread dispatches,
+        # commits, or consumes its queue, so back-to-back probes mostly
+        # reuse the previous list.  future_depth=2 (the default) needs
+        # exactly one queued txn per thread, so it indexes the queue head
+        # instead of building an islice.
+        fresh = self._fresh_spaces
+        cacheable = reader is None or future_depth == 2
+        spaces: list[list[Key]] = []
         spaces_append = spaces.append
         stale_hits = 0
-        for j in range(self.num_threads):
-            if j == requester:
-                continue
+        for j in self._remotes[requester]:
             txn = current[j]
-            # Corruption forces the stale read without consuming a draw;
-            # otherwise exactly one staleness draw happens per remote
-            # thread (chance() draws only for 0 < p < 1).
+            memo = fresh
+            # Corruption forces the stale read without consuming a draw.
             if corrupt is not None and corrupt(now):
                 txn = previous[j]
+                memo = self._stale_spaces
                 self.corrupted_observations += 1
             elif stale > 0.0 and (stale >= 1.0 or uniform() < stale):
                 txn = previous[j]
+                memo = self._stale_spaces
                 stale_hits += 1
             if cacheable:
-                buf0 = None
+                head = None
                 if reader is not None:
                     buf = (threads_view[j].buffer if threads_view is not None
                            else reader(j))
                     if buf:
-                        buf0 = buf[0]
-                ent = cache[j]
-                if ent is not None and ent[0] is txn and ent[1] is buf0:
-                    if ent[4]:
-                        spaces_append(ent[2])
-                    continue
-                seg0: Optional[list[Key]] = None
-                segments: Optional[list[list[Key]]] = None
-                total = 0
-                if txn is not None:
-                    ws = vis_cache.get(txn.tid)
-                    if ws is None:
-                        ws = visible_write_set(txn)
-                    if ws:
-                        seg0 = ws
-                        total = len(ws)
-                if buf0 is not None:
-                    ws = vis_cache.get(buf0.tid)
-                    if ws is None:
-                        ws = visible_write_set(buf0)
-                    if ws:
-                        if seg0 is None:
-                            seg0 = ws
-                        else:
-                            segments = [seg0, ws]
-                        total += len(ws)
-                space = (seg0, segments, total)
-                cache[j] = (txn, buf0, space, None, total)
-                if total:
-                    spaces_append(space)
-                continue
-            # General window (future_depth > 2): uncached, islice-driven.
-            seg0 = None
-            segments = None
-            total = 0
-            if txn is not None:
-                ws = vis_cache.get(txn.tid)
-                if ws is None:
-                    ws = visible_write_set(txn)
-                if ws:
-                    seg0 = ws
-                    total = len(ws)
-            # islice, not list(): the remote buffer is a whole thread's
-            # backlog; the window needs its head only.
-            for nxt in islice(reader(j), future_depth - 1):
-                ws = vis_cache.get(nxt.tid)
-                if ws is None:
-                    ws = visible_write_set(nxt)
-                if ws:
-                    if seg0 is None:
-                        seg0 = ws
-                    elif segments is None:
-                        segments = [seg0, ws]
-                    else:
-                        segments.append(ws)
-                    total += len(ws)
-            if total:
-                spaces_append((seg0, segments, total))
+                        head = buf[0]
+                ent = memo[j]
+                if ent[0] is txn and ent[1] is head:
+                    space = ent[2]
+                else:
+                    space = self._space((txn, head))
+                    memo[j] = (txn, head, space)
+            else:
+                # islice, not list(): the remote buffer is a whole
+                # thread's backlog; the window needs its head only.
+                space = self._space(
+                    (txn, *islice(reader(j), future_depth - 1)))
+            if space:
+                spaces_append(space)
         if stale_hits:
             self.stale_observations += stale_hits
         if not spaces:
             return []
 
-        # Pass 2: the sample draws, one batch per space in thread order.
-        items: list[Key] = []
-        append = items.append
-        if scope == "per_thread":
-            for seg0, segments, total in spaces:
-                k = num_lookups if num_lookups < total else total
-                # random.sample's draws, inlined with
-                # _randbelow_with_getrandbits unrolled — identical
-                # getrandbits consumption, no method-call overhead.
-                # k <= 2 (the default num_lookups) needs no pool or
-                # selection set at all: both of random.sample's branches
-                # reduce to direct index arithmetic on the two draws.
-                if 0 < k <= 2:
-                    bits = total.bit_length()
-                    jdx = getrandbits(bits)
-                    while jdx >= total:
-                        jdx = getrandbits(bits)
-                    if segments is None:
-                        append(seg0[jdx])
-                    else:
-                        idx = jdx
-                        for seg in segments:
-                            if idx < len(seg):
-                                append(seg[idx])
-                                break
-                            idx -= len(seg)
-                    if k == 2:
-                        if total <= 21:
-                            # Pool branch: after the first swap the only
-                            # relocated value is the tail.
-                            bound = total - 1
-                            bits = bound.bit_length()
-                            jdx2 = getrandbits(bits)
-                            while jdx2 >= bound:
-                                jdx2 = getrandbits(bits)
-                            idx = bound if jdx2 == jdx else jdx2
-                        else:
-                            # Selection-set branch: redraw on collision.
-                            while True:
-                                jdx2 = getrandbits(bits)
-                                while jdx2 >= total:
-                                    jdx2 = getrandbits(bits)
-                                if jdx2 != jdx:
-                                    break
-                            idx = jdx2
-                        if segments is None:
-                            append(seg0[idx])
-                        else:
-                            for seg in segments:
-                                if idx < len(seg):
-                                    append(seg[idx])
-                                    break
-                                idx -= len(seg)
-                elif total <= 21 and k <= 5:
-                    pool = list(range(total))
-                    for i in range(k):
-                        bound = total - i
-                        bits = bound.bit_length()
-                        jdx = getrandbits(bits)
-                        while jdx >= bound:
-                            jdx = getrandbits(bits)
-                        idx = pool[jdx]
-                        pool[jdx] = pool[bound - 1]
-                        if segments is None:
-                            append(seg0[idx])
-                        else:
-                            for seg in segments:
-                                if idx < len(seg):
-                                    append(seg[idx])
-                                    break
-                                idx -= len(seg)
-                else:
-                    for idx in rng.sample_indices(total, k):
-                        if segments is None:
-                            append(seg0[idx])
-                        else:
-                            for seg in segments:
-                                if idx < len(seg):
-                                    append(seg[idx])
-                                    break
-                                idx -= len(seg)
+        if scope != "per_thread":
+            items = rng.sample([key for space in spaces for key in space],
+                               num_lookups)
             self.probes += len(items)
             return items
 
-        grand_total = sum(total for _, _, total in spaces)
-        for linear in rng.sample_indices(grand_total, num_lookups):
-            for seg0, segments, total in spaces:
-                if linear < total:
-                    if segments is None:
-                        append(seg0[linear])
+        # Pass 2: random.sample's draws per space, with
+        # _randbelow_with_getrandbits unrolled — identical getrandbits
+        # consumption, no method-call overhead.  Spaces are never
+        # mutated: the memo shares them across probes.
+        items: list[Key] = []
+        append = items.append
+        shuffles = _SHUFFLES
+        for space in spaces:
+            total = len(space)
+            k = num_lookups if num_lookups < total else total
+            if 0 < k <= 2:
+                # Both of random.sample's branches draw the first index
+                # the same way, and need no pool or selection set for
+                # the second.
+                bits = total.bit_length()
+                jdx = getrandbits(bits)
+                while jdx >= total:
+                    jdx = getrandbits(bits)
+                append(space[jdx])
+                if k == 2:
+                    if total <= 21:
+                        # Pool branch: after the first swap the only
+                        # relocated item is the tail.
+                        bound = total - 1
+                        bits = bound.bit_length()
+                        jdx2 = getrandbits(bits)
+                        while jdx2 >= bound:
+                            jdx2 = getrandbits(bits)
+                        append(space[bound if jdx2 == jdx else jdx2])
                     else:
-                        for seg in segments:
-                            if linear < len(seg):
-                                append(seg[linear])
-                                break
-                            linear -= len(seg)
-                    break
-                linear -= total
+                        # Selection-set branch: redraw on collision.
+                        jdx2 = jdx
+                        while jdx2 == jdx:
+                            jdx2 = getrandbits(bits)
+                            while jdx2 >= total:
+                                jdx2 = getrandbits(bits)
+                        append(space[jdx2])
+            elif total <= 21 and k <= 5:
+                # Pool branch: a partial shuffle of a copy.
+                pool = space.copy()
+                for bound, bits, last in shuffles[total][k]:
+                    jdx = getrandbits(bits)
+                    while jdx >= bound:
+                        jdx = getrandbits(bits)
+                    append(pool[jdx])
+                    pool[jdx] = pool[last]
+            else:
+                items += rng._r.sample(space, k)
         self.probes += len(items)
         return items
+
+    def _space(self, observed) -> list[Key]:
+        """Concatenated visible write sets of ``observed`` (None skipped)."""
+        space: list[Key] = []
+        for txn in observed:
+            if txn is not None:
+                space += self.visible_write_set(txn)
+        return space

@@ -2,13 +2,13 @@
 
 The :class:`FaultInjector` owns a compiled :class:`~.plan.FaultPlan` and
 a cursor over its timeline.  The engine drains due events between heap
-pops (:meth:`due`), applies them, and reports back what happened
+pops (:meth:`pop_due`), applies them, and reports back what happened
 (:meth:`record`); windowed faults are answered as point queries
 (:meth:`io_extra`, :meth:`probe_corrupt`).  The injector draws no
 randomness — every decision was made at plan-compile time — so it can
 sit inside the engine's event loop without perturbing any RNG stream.
 
-An injector over :meth:`FaultPlan.none` is inert: ``due`` never yields,
+An injector over :meth:`FaultPlan.none` is inert: ``pop_due`` never fires,
 the window queries return falsy, and :meth:`publish` writes nothing, so
 a run with an installed-but-empty injector is byte-identical to a run
 with no injector at all (the differential contract in docs/faults.md).
@@ -16,7 +16,7 @@ with no injector at all (the differential contract in docs/faults.md).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .plan import FAULT_KINDS, FaultEvent, FaultPlan
 
@@ -57,14 +57,6 @@ class FaultInjector:
             self._cursor += 1
             return ev
         return None
-
-    def due(self, upto: int) -> Iterator[FaultEvent]:
-        """Yield (and consume) every unfired event with ``when <= upto``."""
-        events = self.plan.events
-        while self._cursor < len(events) and events[self._cursor].when <= upto:
-            ev = events[self._cursor]
-            self._cursor += 1
-            yield ev
 
     # ------------------------------------------------------------------
     # windowed faults (point queries, no cursor interaction)

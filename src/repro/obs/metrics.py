@@ -34,6 +34,10 @@ RETRY_BUCKETS = (0, 1, 2, 3, 5, 10, 25, 100)
 #: Quantiles every histogram tracks with a streaming estimator.
 STREAM_QUANTILES = (0.5, 0.95, 0.99)
 
+#: A bulk observation that finds more values than this waiting for the
+#: streaming estimators feeds them first (see Histogram.observe_many).
+PENDING_MAX = 4_096
+
 
 class P2Quantile:
     """Streaming quantile estimator (Jain & Chlamtac's P² algorithm).
@@ -193,9 +197,13 @@ class Histogram:
             raise ValueError(f"histogram {self.name}: bounds must ascend")
         if not self.counts:
             self.counts = [0] * (len(self.bounds) + 1)
-        #: Streaming estimators fed by observe(); deserialised or merged
-        #: histograms have empty ones and fall back to bucket quantiles.
+        #: Streaming estimators fed every observed value; deserialised or
+        #: merged histograms have empty ones and fall back to bucket
+        #: quantiles.
         self._estimators = {q: P2Quantile(q) for q in STREAM_QUANTILES}
+        #: Values observed in bulk but not yet fed to the estimators, in
+        #: arrival order.
+        self._pending: list[Number] = []
         #: Estimates carried over a serialisation roundtrip: the raw
         #: samples are gone, so the snapshot values are re-emitted as-is
         #: (and dropped on merge, where they would misrepresent the sum).
@@ -205,26 +213,40 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.total += 1
         self.sum += value
+        if self._pending:
+            self._feed()
         for est in self._estimators.values():
             est.observe(value)
 
     def observe_many(self, values: Iterable[Number]) -> None:
-        # Bulk path for registry population: same per-value work as
-        # observe() with the lookups hoisted out of the loop.
+        """Bulk path for registry population: counts and sum now, the
+        streaming estimators when an estimate is read (most bulk-filled
+        histograms never are).  Estimators see values in arrival order,
+        so every estimate equals eager feeding's."""
+        if len(self._pending) > PENDING_MAX:
+            self._feed()
         bounds = self.bounds
         counts = self.counts
         bl = bisect_left
-        observers = tuple(est.observe for est in self._estimators.values())
+        pending = self._pending.append
         total = 0
         acc = 0.0
         for v in values:
             counts[bl(bounds, v)] += 1
             total += 1
             acc += v
-            for ob in observers:
-                ob(v)
+            pending(v)
         self.total += total
         self.sum += acc
+
+    def _feed(self) -> None:
+        """Feed the pending values to the streaming estimators."""
+        pending = self._pending
+        for est in self._estimators.values():
+            ob = est.observe
+            for v in pending:
+                ob(v)
+        pending.clear()
 
     @property
     def mean(self) -> float:
@@ -242,19 +264,15 @@ class Histogram:
                 return self.bounds[i] if i < len(self.bounds) else float("inf")
         return float("inf")  # pragma: no cover - defensive
 
-    def quantile_estimate(self, q: float) -> Optional[float]:
-        """Streaming P² estimate for ``q``, or None when unavailable.
+    def quantile_estimates(self) -> dict[str, float]:
+        """All available streaming estimates, keyed ``p50``-style.
 
-        Only the :data:`STREAM_QUANTILES` are tracked, and only
-        histograms that saw their observations directly (not merged or
-        deserialised ones) have estimates; callers fall back to
+        Only histograms that saw their observations directly (not merged
+        or deserialised ones) have estimates; callers fall back to
         :meth:`quantile`'s bucket bound otherwise.
         """
-        est = self._estimators.get(q)
-        return est.value() if est is not None else None
-
-    def quantile_estimates(self) -> dict[str, float]:
-        """All available streaming estimates, keyed ``p50``-style."""
+        if self._pending:
+            self._feed()
         out = {}
         for q, est in sorted(self._estimators.items()):
             v = est.value()

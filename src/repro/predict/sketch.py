@@ -45,6 +45,13 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 CANDIDATE_MIN = 2.0
 
 
+#: FNV-1a state after all but the last 8 bytes of a key's repr, by those
+#: bytes: record keys share a long constant prefix (``('usertable', ``).
+#: Cleared when full, so it stays small whatever keys pass through.
+_PREFIX_STATES: dict[bytes, int] = {}
+_PREFIX_CAP = 512
+
+
 def key_fingerprint(key: Hashable) -> int:
     """64-bit FNV-1a over ``repr(key)`` — stable across processes.
 
@@ -53,11 +60,21 @@ def key_fingerprint(key: Hashable) -> int:
     value function, so the fingerprint — and every sketch estimate — is
     bit-identical wherever it is computed.
     """
-    h = _FNV_OFFSET
-    for b in repr(key).encode("utf-8"):
-        h ^= b
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
+    data = repr(key).encode("utf-8")
+    head = data[:-8]
+    h = _PREFIX_STATES.get(head)
+    if h is None:
+        h = _FNV_OFFSET
+        for b in head:
+            h = ((h ^ b) * _FNV_PRIME) & _MASK64
+        if len(_PREFIX_STATES) >= _PREFIX_CAP:
+            _PREFIX_STATES.clear()
+        _PREFIX_STATES[head] = h
+    # Arithmetic modulo 2**64 commutes with the XOR of one octet, so the
+    # tail masks once instead of per byte.
+    for b in data[-8:]:
+        h = (h ^ b) * _FNV_PRIME
+    return h & _MASK64
 
 
 class DecayedCountMinSketch:
@@ -100,10 +117,11 @@ class DecayedCountMinSketch:
             self._index_table = [(x * _FNV_PRIME) & mask
                                  for x in range(max(width, 256))]
             self._index_start = _FNV_OFFSET & mask
-        #: key -> fingerprint, for keys whose estimate reached
-        #: CANDIDATE_MIN; capped at hot_capacity by coldest-first eviction.
-        #: update() reuses a candidate's stored fingerprint.
-        self._candidates: dict[Hashable, int] = {}
+        #: key -> (fingerprint, row indices), for keys whose estimate
+        #: reached CANDIDATE_MIN; capped at hot_capacity by coldest-first
+        #: eviction.  Updates, decay and heat reports read a candidate's
+        #: cells through its stored indices instead of re-hashing.
+        self._candidates: dict[Hashable, tuple[int, list[int]]] = {}
         self.updates = 0
         self.decays = 0
 
@@ -126,16 +144,20 @@ class DecayedCountMinSketch:
     def update(self, key: Hashable, amount: float = 1.0) -> float:
         """Add ``amount`` to the key's cells; returns the new estimate."""
         known = self._candidates.get(key)
-        fp = key_fingerprint(key) if known is None else known
+        if known is None:
+            fp = key_fingerprint(key)
+            idx = self._indices(fp)
+        else:
+            idx = known[1]
         est = None
-        for row, i in zip(self.rows, self._indices(fp)):
+        for row, i in zip(self.rows, idx):
             v = row[i] + amount
             row[i] = v
             if est is None or v < est:
                 est = v
         self.updates += 1
         if known is None and est >= CANDIDATE_MIN:
-            self._candidates[key] = fp
+            self._candidates[key] = (fp, idx)
             if len(self._candidates) > self.hot_capacity:
                 self._evict_coldest()
         return est
@@ -146,15 +168,10 @@ class DecayedCountMinSketch:
 
     def estimate(self, key: Hashable) -> float:
         """Upper-bound estimate of the key's decayed count (never under)."""
-        return self._estimate_fp(key_fingerprint(key))
+        return self._estimate_at(self._indices(key_fingerprint(key)))
 
-    def _estimate_fp(self, fp: int) -> float:
-        est = None
-        for row, i in zip(self.rows, self._indices(fp)):
-            v = row[i]
-            if est is None or v < est:
-                est = v
-        return est
+    def _estimate_at(self, idx: list[int]) -> float:
+        return min(map(list.__getitem__, self.rows, idx))
 
     def decay(self) -> None:
         """Multiply every cell by the decay factor (epoch boundary).
@@ -166,11 +183,11 @@ class DecayedCountMinSketch:
         f = self.decay_factor
         if f < 1.0:
             for row in self.rows:
-                row[:] = [v * f if v * f > 1e-9 else 0.0 for v in row]
+                row[:] = [x if (x := v * f) > 1e-9 else 0.0 for v in row]
         self.decays += 1
         if self._candidates:
-            cold = [k for k, fp in self._candidates.items()
-                    if self._estimate_fp(fp) < 1.0]
+            cold = [k for k, (_fp, idx) in self._candidates.items()
+                    if self._estimate_at(idx) < 1.0]
             for k in cold:
                 del self._candidates[k]
 
@@ -192,19 +209,21 @@ class DecayedCountMinSketch:
                 if v:
                     mine[i] += v
         self.updates += other.updates
-        for key, fp in other._candidates.items():
+        for key, cand in other._candidates.items():
             if key not in self._candidates:
-                self._candidates[key] = fp
+                self._candidates[key] = cand
         while len(self._candidates) > self.hot_capacity:
             self._evict_coldest()
 
     # -- heat reporting ----------------------------------------------------
     def _evict_coldest(self) -> None:
-        victim = min(
-            self._candidates.items(),
-            key=lambda kv: (self._estimate_fp(kv[1]), kv[1], repr(kv[0])),
-        )
-        del self._candidates[victim[0]]
+        # Coldest by (estimate, fingerprint, repr): repr only breaks
+        # fingerprint ties, so it is taken among the tied keys alone.
+        heat = [((self._estimate_at(idx), fp), key)
+                for key, (fp, idx) in self._candidates.items()]
+        low = min(h for h, _ in heat)
+        del self._candidates[min((key for h, key in heat if h == low),
+                                 key=repr)]
 
     def hot_items(self) -> list[tuple[Hashable, float]]:
         """Every candidate with its current estimate, hottest first.
@@ -213,8 +232,8 @@ class DecayedCountMinSketch:
         then ``repr`` as the final tiebreak.
         """
         ranked = sorted(
-            ((key, self._estimate_fp(fp), fp)
-             for key, fp in self._candidates.items()),
+            ((key, self._estimate_at(idx), fp)
+             for key, (fp, idx) in self._candidates.items()),
             key=lambda kef: (-kef[1], kef[2], repr(kef[0])),
         )
         return [(key, est) for key, est, _ in ranked]

@@ -1,10 +1,15 @@
 """Metrics registry: counters, gauges, histograms, ingestion, merging."""
 
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.stats import Counters
 from repro.obs.metrics import (
     LATENCY_BUCKETS_CYCLES,
+    PENDING_MAX,
     RETRY_BUCKETS,
     Histogram,
     MetricsRegistry,
@@ -207,3 +212,62 @@ class TestHistogramStreamingQuantiles:
         merged = MetricsRegistry.from_dict(doc)
         merged.merge(clone)
         assert "quantiles" not in merged.to_dict()["histograms"]["h"]
+
+
+class _EagerHistogram(Histogram):
+    """Feeds every value to the estimators as it arrives."""
+
+    def observe_many(self, values):
+        values = list(values)
+        for v in values:
+            self.counts[bisect_left(self.bounds, v)] += 1
+        self.total += len(values)
+        acc = 0.0
+        for v in values:
+            acc += v
+            for est in self._estimators.values():
+                est.observe(v)
+        self.sum += acc
+
+
+_values = st.lists(st.integers(min_value=0, max_value=2_000), max_size=40)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("observe"), st.integers(min_value=0, max_value=2_000)),
+    st.tuples(st.just("observe_many"), _values),
+    st.tuples(st.just("merge"), _values),
+    st.tuples(st.just("to_dict"), st.none()),
+), max_size=25)
+
+
+class TestLazyStreamingQuantiles:
+    """Bulk observations reach the P² estimators only when an estimate is
+    read, and in arrival order, so every document equals eager feeding's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_steps)
+    def test_to_dict_equals_eager_feeding(self, steps):
+        bounds = (10, 100, 1000)
+        lazy, eager = MetricsRegistry(), MetricsRegistry()
+        lazy.histogram("h", bounds)
+        eager.histograms["h"] = _EagerHistogram("h", bounds)
+        for op, arg in steps:
+            for reg in (lazy, eager):
+                h = reg.histogram("h", bounds)
+                if op == "observe":
+                    h.observe(arg)
+                elif op == "observe_many":
+                    h.observe_many(iter(arg))
+                elif op == "merge":
+                    other = MetricsRegistry()
+                    other.histogram("h", bounds).observe_many(arg)
+                    reg.merge(other)
+            if op == "to_dict":
+                assert lazy.to_dict() == eager.to_dict()
+        assert lazy.to_dict() == eager.to_dict()
+
+    def test_pending_values_stay_bounded(self):
+        h = Histogram("h", bounds=(10,))
+        for _ in range(20):
+            h.observe_many(range(1_000))
+        assert len(h._pending) <= PENDING_MAX + 1_000
+        assert h.to_dict()["quantiles"]["p50"] == pytest.approx(500, abs=50)

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import fnv_hash64
+from repro.predict import sketch as sketch_module
 from repro.predict.sketch import (
     CANDIDATE_MIN,
     DecayedCountMinSketch,
@@ -239,3 +240,88 @@ class TestFixedStreamPin:
     def test_rows_and_heat_match_pin(self):
         for width, pin in self._PINS.items():
             assert self._run(width) == pin, width
+
+
+def _fnv1a_bytes(key) -> int:
+    """The plain definition: FNV-1a over every byte of ``repr(key)``."""
+    h = 0xCBF29CE484222325
+    for b in repr(key).encode("utf-8"):
+        h ^= b
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+# Reprs from one byte up to well past the 8-byte memoised tail, with
+# multi-byte UTF-8 characters on either side of the cut.
+fingerprint_keys = st.recursive(
+    st.one_of(st.integers(), st.text(max_size=12),
+              st.sampled_from(["", "é", "ü" * 4, "abcdefg", "abcdefgh",
+                               "abcdefghi", "日本語キー"])),
+    lambda inner: st.tuples(inner, inner) | st.tuples(st.just("usertable"),
+                                                      inner),
+    max_leaves=6,
+)
+
+
+class TestFingerprint:
+    @given(fingerprint_keys)
+    @settings(max_examples=400)
+    def test_equals_byte_loop(self, key):
+        assert key_fingerprint(key) == _fnv1a_bytes(key)
+
+    @given(st.lists(fingerprint_keys, max_size=60))
+    @settings(max_examples=50)
+    def test_prefix_memo_stays_under_cap(self, batch):
+        for key in batch:
+            key_fingerprint(key)
+            assert len(sketch_module._PREFIX_STATES) <= sketch_module._PREFIX_CAP
+
+    def test_memo_overflow_keeps_fingerprints(self):
+        keys = [("table", i) * 3 for i in range(3 * sketch_module._PREFIX_CAP)]
+        assert [key_fingerprint(k) for k in keys] == [
+            _fnv1a_bytes(k) for k in keys]
+        assert len(sketch_module._PREFIX_STATES) <= sketch_module._PREFIX_CAP
+
+
+class TestEvictionThrash:
+    """More warm keys than ``hot_capacity``: every update of a new warm
+    key evicts one.  Candidates carry their row indices, so eviction,
+    decay and the heat report hash nothing; rows and heat equal a pin
+    recorded before candidates stored their indices."""
+
+    @staticmethod
+    def _stream(sk):
+        for i in range(20_000):
+            sk.update(("usertable", (i * 7) % 3_000))
+            if i % 5_000 == 4_999:
+                sk.decay()
+
+    def test_rows_and_heat_match_pin(self):
+        sk = DecayedCountMinSketch(width=1024, depth=4, decay=0.5, seed=3,
+                                   hot_capacity=64)
+        self._stream(sk)
+        hot = sk.hot_items()
+        assert hashlib.sha256(repr(sk.rows).encode()).hexdigest()[:16] == \
+            "fc1dbb50eff6b5e0"
+        assert len(hot) == 64
+        assert hashlib.sha256(repr(hot).encode()).hexdigest()[:16] == \
+            "b05b35b3684c538f"
+        assert hot[0] == (("usertable", 2275), 9.6875)
+
+    def test_at_most_one_index_computation_per_update(self, monkeypatch):
+        calls = 0
+        indices = DecayedCountMinSketch._indices
+
+        def counting(self, fp):
+            nonlocal calls
+            calls += 1
+            return indices(self, fp)
+
+        monkeypatch.setattr(DecayedCountMinSketch, "_indices", counting)
+        for width in (1024, 1000):
+            calls = 0
+            sk = DecayedCountMinSketch(width=width, depth=4, decay=0.5,
+                                       seed=3, hot_capacity=64)
+            self._stream(sk)
+            sk.hot_items()
+            assert calls <= sk.updates, width

@@ -105,37 +105,3 @@ class TestResidualExtractionProperties:
         kept = {t.tid for p in plan.parts for t in p}
         kept |= {t.tid for t in plan.residual}
         assert kept == {t.tid for t in txns}
-
-
-class TestSampleIndicesProperties:
-    """Guards the hand-inlined CPython selection algorithm in
-    Rng.sample_indices against stdlib drift: same seed, same draws,
-    same output as random.sample(range(n), k) — across both the
-    partial-shuffle pool branch (small n) and the rejection-set
-    branch (large n)."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=0, max_value=4_000),
-           st.integers(min_value=0, max_value=48),
-           st.integers(min_value=0, max_value=10_000))
-    def test_matches_random_sample_bit_for_bit(self, n, k, seed):
-        import random
-
-        k = min(k, n)
-        ours = Rng(seed).sample_indices(n, k)
-        theirs = random.Random(seed).sample(range(n), k)
-        assert ours == theirs
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=2, max_value=500),
-           st.integers(min_value=1, max_value=20),
-           st.integers(min_value=0, max_value=10_000))
-    def test_leaves_identical_rng_state(self, n, k, seed):
-        import random
-
-        k = min(k, n)
-        a, b = Rng(seed), random.Random(seed)
-        a.sample_indices(n, k)
-        b.sample(range(n), k)
-        # The generators must have consumed the exact same draw stream.
-        assert a._r.getstate() == b.getstate()
